@@ -6,8 +6,13 @@ number a_1 a_2 .. a_k).  Everything in this package consumes this one
 representation; derived algebras (powers, subalgebras-as-universes, quotients)
 are materialized back into the same form.
 
-All values are immutable after construction and every function here is pure,
-so instances can be shared freely between threads.
+Operation tables, element maps and the other values here are immutable after
+construction.  Each `FiniteAlgebra` also carries a private memo, `_cache`, a
+plain dict that library functions fill lazily with derived results:
+congruence lattices, matrix sets, term-condition verdicts, and the closure
+engine's block tables and plans.  Filling it mutates the instance, without
+any locking, so an algebra shared between threads needs the caller's own
+synchronization.
 """
 
 from __future__ import annotations
@@ -22,6 +27,15 @@ DEFAULT_CLOSURE_CAP = 10**6
 # Budget (in array cells) for one broadcasted operation application; larger
 # combination grids are processed in chunks of roughly this size.
 _CHUNK_CELLS = 4_000_000
+
+# The closure applies an operation of arity k to blocks of b coordinates at
+# once, through its table lifted to blocks, which has n^(b*k) cells; b is
+# the largest block width whose lifted table stays within this many cells.
+_BLOCK_TABLE_CELLS = 1 << 16
+
+# Closure spaces of at most this many codes track membership in a dense
+# boolean bitmap; larger spaces keep a sorted array of member codes.
+_DENSE_CODES = 1 << 24
 
 
 class CapExceededError(RuntimeError):
@@ -229,19 +243,12 @@ def evaluate(algebra: FiniteAlgebra, op_name: str, args: Sequence[int]) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _op_arrays(algebra: FiniteAlgebra) -> list[tuple[str, int, np.ndarray]]:
-    ops = algebra._cache.get("op_arrays")
-    if ops is None:
-        ops = [(op.name, op.arity, op.array()) for op in algebra.operations]
-        algebra._cache["op_arrays"] = ops
-    return ops
-
-
 def _apply_combos(tab: np.ndarray, n: int, parts: list[np.ndarray], width: int) -> Iterable[np.ndarray]:
     """Yield op results over the full cartesian grid of the given row blocks.
 
     Each part is an (m_i, width) array; results are yielded as (m, width)
     chunks.  Grids larger than the chunk budget are split along axis 0.
+    Arity at most 3; used by the row-mode clone search in `diffterm`.
     """
     k = len(parts)
     sizes = [p.shape[0] for p in parts]
@@ -264,24 +271,8 @@ def _apply_combos(tab: np.ndarray, n: int, parts: list[np.ndarray], width: int) 
                 None, None, :, :
             ]
         else:
-            raise ValueError("use _apply_combos_generic for arity > 3")
+            raise ValueError("_apply_combos supports arity <= 3")
         yield tab[idx.reshape(-1, width)]
-
-
-def _apply_combos_generic(
-    tab: np.ndarray, n: int, parts: list[np.ndarray], width: int
-) -> Iterable[np.ndarray]:
-    """Arity >= 4 fallback: iterate rows of the leading positions in Python."""
-    if any(p.shape[0] == 0 for p in parts):
-        return
-    head, tail = parts[:-2], parts[-2:]
-    for rows in itertools.product(*[range(p.shape[0]) for p in head]):
-        idx = None
-        for p, r in zip(head, rows):
-            row = p[r]
-            idx = row.copy() if idx is None else idx * n + row
-        grid = (idx[None, None, :] * n + tail[0][:, None, :]) * n + tail[1][None, :, :]
-        yield tab[grid.reshape(-1, width)]
 
 
 def _pack(rows: np.ndarray, n: int) -> np.ndarray:
@@ -301,6 +292,168 @@ def _unpack(codes: np.ndarray, n: int, width: int) -> np.ndarray:
     return out
 
 
+def _block_widths(n: int, arity: int, width: int) -> tuple[int, ...]:
+    """Split `width` coordinates into as few blocks as the block-table
+    budget allows for an operation of this arity, balanced in width."""
+    b = 1
+    while b < width and n ** ((b + 1) * arity) <= _BLOCK_TABLE_CELLS:
+        b += 1
+    count = -(-width // b)
+    q, r = divmod(width, count)
+    return (q + 1,) * r + (q,) * (count - r)
+
+
+def _block_table(algebra: FiniteAlgebra, index: int, b: int) -> np.ndarray:
+    """Operation `index` lifted coordinatewise to blocks of b coordinates.
+
+    A block code is the base-n number of its b coordinates; the table is
+    indexed by the k argument block codes read as one base-n^b number, so
+    b = 1 gives the operation table itself.
+    """
+    key = ("block_table", index, b)
+    table = algebra._cache.get(key)
+    if table is None:
+        op = algebra.operations[index]
+        if b == 1:
+            table = op.array()
+        else:
+            # a block of b coordinates is a block of b - 1 followed by one more
+            n, k = algebra.size, op.arity
+            head = _block_table(algebra, index, b - 1).reshape((n ** (b - 1), 1) * k)
+            table = (head * n + op.array().reshape((1, n) * k)).ravel()
+            table.setflags(write=False)
+        algebra._cache[key] = table
+    return table
+
+
+def _closure_plan(algebra: FiniteAlgebra, width: int) -> list:
+    """Per operation: (arity, block widths, block tables) for width-w codes.
+
+    Each block table is scaled by the place value of its block in a code,
+    so a result code is the sum of one lookup per block.
+    """
+    key = ("closure_plan", width)
+    plan = algebra._cache.get(key)
+    if plan is None:
+        plan = []
+        n = algebra.size
+        for i, op in enumerate(algebra.operations):
+            widths = _block_widths(n, op.arity, width)
+            tables = []
+            shift = width
+            for b in widths:
+                shift -= b
+                tables.append(_block_table(algebra, i, b) * n**shift)
+            plan.append((op.arity, widths, tables))
+        algebra._cache[key] = plan
+    return plan
+
+
+def _split_codes(codes: np.ndarray, n: int, widths: tuple[int, ...]) -> list[np.ndarray]:
+    """Block codes of width-sum(widths) codes, most significant block first."""
+    out = []
+    shift = sum(widths)
+    for b in widths:
+        shift -= b
+        out.append(codes // n**shift % n**b)
+    return out
+
+
+def _grid_batches(sizes: list[int], width: int):
+    """Cut the row-major grid over `sizes` into batches within the chunk budget.
+
+    Yields (prefix, slice): a batch fixes the leading axes to `prefix`, takes
+    a slice of the next axis and all of the axes after it.  Batches cut
+    axis 0 only, unless a single index of axis 0 already spans more than the
+    budget; then they cut the first axis whose trailing grid fits.
+    """
+    j = 0
+    tail = 1
+    for s in sizes[1:]:
+        tail *= s
+    while tail * width > _CHUNK_CELLS and j < len(sizes) - 1:
+        j += 1
+        tail //= sizes[j]
+    step = max(1, _CHUNK_CELLS // (tail * width))
+    for prefix in itertools.product(*map(range, sizes[:j])):
+        for lo in range(0, sizes[j], step):
+            yield prefix, slice(lo, lo + step)
+
+
+def _grid_codes(
+    n: int,
+    widths: tuple[int, ...],
+    tables: list[np.ndarray],
+    parts: list[list[np.ndarray]],
+    prefix: tuple[int, ...],
+    sl: slice,
+) -> np.ndarray:
+    """Result codes of one operation over one batch of its argument grid.
+
+    `parts[i][t]` holds block t of the codes of argument position i; each
+    block of the result is one lookup in its (place-value scaled) table.
+    """
+    k = len(parts)
+    j = len(prefix)
+    code = None
+    for t, (b, tab) in enumerate(zip(widths, tables)):
+        radix = n**b
+        offset = 0
+        for i, r in enumerate(prefix):
+            offset = offset * radix + int(parts[i][t][r])
+        scale = radix ** (k - 1 - j)
+        idx = parts[j][t][sl] * scale + offset * radix * scale
+        for i in range(j + 1, k):
+            scale //= radix
+            idx = idx[..., None] + parts[i][t] * scale
+        if code is None:
+            code = tab.take(idx)
+        else:
+            code += tab.take(idx)
+    return code.ravel()
+
+
+class _DenseMembers:
+    """Closure membership as a boolean bitmap over the whole code space."""
+
+    def __init__(self, space: int, codes: np.ndarray):
+        self.seen = np.zeros(space, dtype=bool)
+        self.seen[codes] = True
+        self.mark: np.ndarray | None = None
+
+    def fresh(self, codes: np.ndarray) -> np.ndarray:
+        cand = codes[~self.seen.take(codes)]
+        if 16 * cand.size < self.seen.size:
+            return np.unique(cand)
+        # many candidates for the space: deduplicate through a scratch bitmap,
+        # whose scan costs less than sorting them
+        if self.mark is None:
+            self.mark = np.zeros_like(self.seen)
+        self.mark[cand] = True
+        new = np.flatnonzero(self.mark)
+        self.mark[new] = False
+        return new
+
+    def add(self, codes: np.ndarray) -> None:
+        self.seen[codes] = True
+
+
+class _SortedMembers:
+    """Closure membership as a sorted code array, for spaces too large for
+    a bitmap."""
+
+    def __init__(self, codes: np.ndarray):
+        self.codes = codes
+
+    def fresh(self, codes: np.ndarray) -> np.ndarray:
+        codes = np.unique(codes)
+        known = self.codes.take(np.searchsorted(self.codes, codes), mode="clip") == codes
+        return codes[~known]
+
+    def add(self, codes: np.ndarray) -> None:
+        self.codes = np.sort(np.concatenate([self.codes, codes]))
+
+
 def closure_in_power(
     algebra: FiniteAlgebra,
     width: int,
@@ -313,10 +466,15 @@ def closure_in_power(
     """Close `seeds` under the operations of `algebra` acting coordinatewise.
 
     Returns (sorted list of member tuples, violation witness or None).  When
-    `violation` is given it is applied to every chunk of generated rows; if it
-    reports a row the closure aborts immediately and that row is returned as
-    the witness (chunks are scanned in a fixed order, so the witness is
-    deterministic).  Requires n^width to fit in an int64 code.
+    `violation` is given it is applied to the new rows of every chunk, in
+    sorted order; if it reports a row the closure aborts immediately and
+    that row is returned as the witness (chunks are scanned in a fixed
+    order, so the witness is deterministic).  Requires n^width to fit in an
+    int64 code.
+
+    Rows are handled as their base-n codes throughout.  Each round applies
+    every operation semi-naively (at least one argument from the newest
+    rows) over the grid of argument codes, one chunk at a time.
     """
     n = algebra.size
     if width * np.log2(max(n, 2)) > 62:
@@ -328,68 +486,68 @@ def closure_in_power(
         if len(row) != width:
             raise ValueError(f"seed width {len(row)} != {width}")
 
-    frontier = np.array(seed_rows, dtype=np.int64)
+    seed_array = np.array(seed_rows, dtype=np.int64)
     if violation is not None:
-        hit = violation(frontier)
+        hit = violation(seed_array)
         if hit is not None:
-            return [tuple(r) for r in seed_rows], tuple(int(x) for x in frontier[hit])
+            return [tuple(r) for r in seed_rows], tuple(int(x) for x in seed_array[hit])
 
-    known_codes = np.unique(_pack(frontier, n))
-    all_rows = _unpack(known_codes, n, width)
-    frontier = all_rows
-    old_rows = np.empty((0, width), dtype=np.int64)
-    ops = _op_arrays(algebra)
+    start = _pack(seed_array, n)  # sorted, as the seed rows are
+    space = n**width
+    members = _DenseMembers(space, start) if space <= _DENSE_CODES else _SortedMembers(start)
+    plan = _closure_plan(algebra, width)
+    layouts = {widths for _k, widths, _tables in plan}
+    roles = {"old": start[:0], "frontier": start, "all": start}
 
-    def finish(witness=None):
-        members = [tuple(int(x) for x in r) for r in _unpack(known_codes, n, width)]
-        return members, witness
+    def finish(codes, witness=None):
+        return [tuple(r) for r in _unpack(codes, n, width).tolist()], witness
 
-    while frontier.shape[0]:
-        fresh_codes: list[np.ndarray] = []
-        round_codes = known_codes
-        for _name, k, tab in ops:
-            if k == 1:
-                chunks = _apply_combos(tab, n, [frontier], width)
-            else:
-                def chunks_gen():
-                    for pos in range(k):
-                        parts = [
-                            old_rows if i < pos else (frontier if i == pos else all_rows)
-                            for i in range(k)
-                        ]
-                        applier = _apply_combos if k <= 3 else _apply_combos_generic
-                        yield from applier(tab, n, parts, width)
-
-                chunks = chunks_gen()
-            for out in chunks:
-                if out.size == 0:
+    while roles["frontier"].size:
+        fresh: list[np.ndarray] = []
+        total = roles["all"].size
+        split = {
+            (role, widths): _split_codes(codes, n, widths)
+            for role, codes in roles.items()
+            for widths in layouts
+        }
+        for k, widths, tables in plan:
+            for pos in range(k):
+                names = ["old" if i < pos else "frontier" if i == pos else "all" for i in range(k)]
+                sizes = [roles[r].size for r in names]
+                if 0 in sizes:
                     continue
-                codes = np.unique(_pack(out, n))
-                mask = ~np.isin(codes, round_codes, assume_unique=False)
-                codes = codes[mask]
-                if codes.size == 0:
-                    continue
-                if violation is not None:
-                    rows = _unpack(codes, n, width)
-                    hit = violation(rows)
-                    if hit is not None:
-                        wit = tuple(int(x) for x in rows[hit])
-                        known_codes = np.unique(np.concatenate([round_codes, codes]))
-                        return finish(wit)
-                fresh_codes.append(codes)
-                round_codes = np.unique(np.concatenate([round_codes, codes]))
-                if round_codes.size > cap:
-                    raise CapExceededError(cap_name, cap)
+                parts = [split[r, widths] for r in names]
+                for prefix, sl in _grid_batches(sizes, width):
+                    out = _grid_codes(n, widths, tables, parts, prefix, sl)
+                    # Witnesses are defined over chunks: for arity >= 4 one
+                    # per choice of the leading k - 2 arguments.  Without a
+                    # violation check the chunking does not matter.
+                    seg = out.size
+                    if violation is not None and k >= 4 and len(prefix) <= k - 3:
+                        seg = sizes[-2] * sizes[-1]
+                    for lo in range(0, out.size, seg):
+                        new = members.fresh(out[lo : lo + seg])
+                        if new.size == 0:
+                            continue
+                        if violation is not None:
+                            rows = _unpack(new, n, width)
+                            hit = violation(rows)
+                            if hit is not None:
+                                codes = np.sort(np.concatenate([roles["all"], *fresh, new]))
+                                return finish(codes, tuple(int(x) for x in rows[hit]))
+                        members.add(new)
+                        fresh.append(new)
+                        total += new.size
+                        if total > cap:
+                            raise CapExceededError(cap_name, cap)
 
-        if not fresh_codes:
+        if not fresh:
             break
-        new_codes = np.setdiff1d(np.concatenate(fresh_codes), known_codes)
-        known_codes = round_codes
-        frontier = _unpack(new_codes, n, width)
-        old_rows = all_rows
-        all_rows = _unpack(known_codes, n, width)
+        new = np.sort(np.concatenate(fresh))
+        old = roles["all"]
+        roles = {"old": old, "frontier": new, "all": np.sort(np.concatenate([old, new]))}
 
-    return finish()
+    return finish(roles["all"])
 
 
 # ---------------------------------------------------------------------------
