@@ -363,10 +363,14 @@ def _grid_batches(sizes: list[int], width: int):
     """Cut the row-major grid over `sizes` into batches within the chunk budget.
 
     Yields (prefix, slice): a batch fixes the leading axes to `prefix`, takes
-    a slice of the next axis and all of the axes after it.  Batches cut
-    axis 0 only, unless a single index of axis 0 already spans more than the
-    budget; then they cut the first axis whose trailing grid fits.
+    a slice of the next axis and all of the axes after it.  A unary grid is
+    one batch.  Otherwise batches cut axis 0 only, unless a single index of
+    axis 0 already spans more than the budget; then they cut the first axis
+    whose trailing grid fits.
     """
+    if len(sizes) == 1:
+        yield (), slice(0, sizes[0])
+        return
     j = 0
     tail = 1
     for s in sizes[1:]:
@@ -419,20 +423,9 @@ class _DenseMembers:
     def __init__(self, space: int, codes: np.ndarray):
         self.seen = np.zeros(space, dtype=bool)
         self.seen[codes] = True
-        self.mark: np.ndarray | None = None
 
     def fresh(self, codes: np.ndarray) -> np.ndarray:
-        cand = codes[~self.seen.take(codes)]
-        if 16 * cand.size < self.seen.size:
-            return np.unique(cand)
-        # many candidates for the space: deduplicate through a scratch bitmap,
-        # whose scan costs less than sorting them
-        if self.mark is None:
-            self.mark = np.zeros_like(self.seen)
-        self.mark[cand] = True
-        new = np.flatnonzero(self.mark)
-        self.mark[new] = False
-        return new
+        return np.unique(codes[~self.seen.take(codes)])
 
     def add(self, codes: np.ndarray) -> None:
         self.seen[codes] = True

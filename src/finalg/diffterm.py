@@ -609,8 +609,8 @@ def check_wdt_laws(
 
     witness = None
     compared = False
-    others = [t for t in _first_passing_tables(algebra) if t != certificate.d]
-    for other in others:
+    other = _searched_table(algebra)
+    if other is not None and other != certificate.d:
         for theta in abelians:
             for blk in theta.blocks:
                 for x, y, z in itertools.product(blk, repeat=3):
@@ -623,8 +623,6 @@ def check_wdt_laws(
                     break
             if witness:
                 break
-        if witness:
-            break
     items.append(
         CheckItem(
             id="term-agreement",
@@ -717,14 +715,11 @@ def _is_prime_power(s: int, p: int) -> bool:
     return s == 1
 
 
-def _first_passing_tables(algebra: FiniteAlgebra, *, cap: int = 3000) -> list[tuple]:
-    """Weak-difference-term tables from a small clone search, for the
-    agreement law: the search stops at its first hit, so at most one."""
-    found: list[tuple] = []
+def _searched_table(algebra: FiniteAlgebra, *, cap: int = 3000) -> tuple | None:
+    """The weak-difference-term table of a small clone search (its first
+    hit), for the agreement law; None if the search finds none."""
     try:
         cert = search_wdt(algebra, cap=cap)
     except CapExceededError:
-        return found
-    if cert is not None:
-        found.append(cert.d)
-    return found
+        return None
+    return None if cert is None else cert.d

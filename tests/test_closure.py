@@ -147,3 +147,16 @@ def test_small_chunk_budget_keeps_members(gen1):
         with mock.patch.object(core, "_CHUNK_CELLS", budget):
             members, witness = closure_in_power(algebra, 4, seeds)
         assert witness is None and members == expected
+
+
+def test_unary_frontier_is_one_batch():
+    # the reference never split a unary frontier, so witnesses depend on it
+    # staying whole, however far it exceeds the budget
+    succ = FiniteAlgebra(5, [("s", 1, [1, 2, 3, 4, 0]), ("d", 1, [0, 2, 4, 1, 3])])
+    seeds = [(0, 1, 2), (3, 3, 4)]
+    with mock.patch.object(core, "_CHUNK_CELLS", 3):
+        assert list(core._grid_batches([50], 3)) == [((), slice(0, 50))]
+        for pick in range(0, 15, 5):
+            got = _run(closure_in_power, succ, 3, seeds, "predicate", pick, 400)
+            assert got == _run(reference_closure, succ, 3, seeds, "predicate", pick, 400)
+            assert got[1] is not None
