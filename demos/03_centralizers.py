@@ -24,8 +24,10 @@ print("matrices over the two-element affine algebra:", len(ms), "(the xor-balanc
 print("\n== the term condition ==")
 print("affine algebra: C(1, 1; 0) =", centralizes(z2, one2, one2, zero2).holds)
 verdict = centralizes(s2, one2, one2, zero2)
-print("semilattice:    C(1, 1; 0) =", verdict.holds, "| witness matrix:", verdict.witness)
-print("(the witness realizes meet(0,0) = meet(0,1) while meet(1,0) != meet(1,1))")
+a, b, c, d = verdict.witness
+print("semilattice:    C(1, 1; 0) =", verdict.holds, "| witness:", verdict.witness)
+print(f"(the pairs ({a},{b}) and ({c},{d}) lie in one class of the diagonal congruence,")
+print(" but only the first is in delta = 0)")
 
 print("\n== centralizers ==")
 theta = principal_congruence(z4, 0, 2)

@@ -10,15 +10,17 @@ entrywise, of the seed set
                   u {(a, a, b, b) : (a, b) in phi},
 
 i.e. all matrices with two equal columns from theta or two equal rows from
-phi.  C(phi, theta; delta) is evaluated through two independent routes (the
-row condition on M(phi, theta) and the column condition on M(theta, phi))
-whose verdicts must agree; disagreement signals an implementation bug.
+phi.  C(phi, theta; delta) is the column condition on M(theta, phi): every
+matrix has both columns in delta or neither.
 
-For instances whose ambient matrix space is too large to close explicitly,
-the column condition is evaluated on the transitive closure of the matrix
-set instead: that closure is exactly the congruence of the pair algebra of
-theta generated by the diagonal pairs of phi, and the column condition
-survives matrix chaining, so it can be checked class by class.
+The term condition is decided on one object.  Read as a relation on the
+theta-pairs, M(theta, phi) has as its transitive closure the congruence
+Delta of the pair algebra of theta generated by the diagonal pairs
+((x, x), (y, y)) with (x, y) in phi.  The column condition survives the
+chaining of matrices, so C(phi, theta; delta) holds exactly when membership
+in delta is constant on every Delta-class (Freese and McKenzie, Commutator
+Theory for Congruence Modular Varieties, 1987).  Delta is generated by
+union-find on pair indices, without building the tables of the pair algebra.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .core import DEFAULT_CLOSURE_CAP, FiniteAlgebra, closure_in_power
+from .core import DEFAULT_CLOSURE_CAP, FiniteAlgebra, Quotient, closure_in_power, quotient
 from .congruences import (
     Partition,
     UnionFind,
@@ -41,14 +43,10 @@ from .congruences import (
 )
 from .report import CheckItem, Report
 
-# Above this many ambient matrices, centralizes() switches from explicit
-# matrix closure to the transitive-closure route (one route instead of two,
-# but linear-size instead of cubic work).
-MATRIX_AMBIENT_LIMIT = 700
-
 
 class InconsistencyError(RuntimeError):
-    """The two term-condition routes disagreed; this is an implementation bug."""
+    """An internal check failed: a computed object lacks a property that the
+    theory guarantees.  This is an implementation bug, not an input error."""
 
 
 class Tolerance:
@@ -97,18 +95,6 @@ def _pair_list(rel) -> list[tuple[int, int]]:
     return rel.pair_list()
 
 
-def _related_array(rel, n: int) -> np.ndarray:
-    arr = np.zeros((n, n), dtype=bool)
-    if isinstance(rel, Partition):
-        idx = np.asarray(rel.index)
-        arr = idx[:, None] == idx[None, :]
-    else:
-        for a, b in rel.pairs:
-            arr[a, b] = True
-    arr.setflags(write=False)
-    return arr
-
-
 @dataclass(frozen=True)
 class MatrixSet:
     """A set of 2x2 matrices over an algebra (role: X seed, generated M, or
@@ -137,30 +123,6 @@ def seed_matrices(algebra: FiniteAlgebra, theta, phi) -> list[tuple[int, int, in
     return sorted(out)
 
 
-def matrix_ambient_count(theta, phi, n: int) -> int:
-    """|A(theta, phi)|: matrices with columns in theta and rows in phi."""
-    if not (isinstance(theta, Partition) and isinstance(phi, Partition)):
-        trel = _related_array(theta, n)
-        frel = _related_array(phi, n)
-        total = 0
-        for a1 in range(n):
-            for a2 in np.flatnonzero(trel[a1]):
-                for a3 in np.flatnonzero(frel[a1]):
-                    total += int(np.sum(trel[a3] & frel[a2]))
-        return total
-    # count[(t, f)] = number of elements in theta-block t and phi-block f
-    count: dict[tuple[int, int], int] = {}
-    for x in range(n):
-        key = (theta.index[x], phi.index[x])
-        count[key] = count.get(key, 0) + 1
-    total = 0
-    for a1 in range(n):
-        for a2 in theta.block_of(a1):
-            for a3 in phi.block_of(a1):
-                total += count.get((theta.index[a3], phi.index[a2]), 0)
-    return total
-
-
 def generate_matrices(
     algebra: FiniteAlgebra, theta, phi, *, cap: int = DEFAULT_CLOSURE_CAP
 ) -> MatrixSet:
@@ -184,38 +146,44 @@ def generate_matrices(
 
 @dataclass(frozen=True)
 class CentralityVerdict:
+    """The outcome of C(phi, theta; delta).  A failing verdict's witness
+    (a, b, c, d) names two theta-pairs (a, b) and (c, d) in one class of the
+    diagonal congruence Delta, with (a, b) in delta and (c, d) not."""
+
     holds: bool
     witness: tuple[int, int, int, int] | None
-    condition: str | None  # which condition produced the witness
-    method: str  # "matrices" or "delta-classes"
 
     def __bool__(self):
         return self.holds
 
 
-def _row_violation(delta_rel: np.ndarray):
-    def check(rows: np.ndarray) -> int | None:
-        r1 = delta_rel[rows[:, 0], rows[:, 2]]
-        r2 = delta_rel[rows[:, 1], rows[:, 3]]
-        bad = np.flatnonzero(r1 != r2)
-        return int(bad[0]) if bad.size else None
-
-    return check
-
-
-def _col_violation(delta_rel: np.ndarray):
-    def check(rows: np.ndarray) -> int | None:
-        c1 = delta_rel[rows[:, 0], rows[:, 1]]
-        c2 = delta_rel[rows[:, 2], rows[:, 3]]
-        bad = np.flatnonzero(c1 != c2)
-        return int(bad[0]) if bad.size else None
-
-    return check
-
-
 def pair_universe(theta: Partition) -> list[tuple[int, int]]:
     """The universe of the pair algebra of theta, in lexicographic order."""
     return sorted((a, b) for blk in theta.blocks for a in blk for b in blk)
+
+
+def _pair_coordinates(n: int, pairs: list[tuple[int, int]]):
+    """(pos, p0, p1): pos[a, b] is the index of the pair (a, b) (-1 off the
+    pair set), p0 and p1 the coordinate arrays of the pairs."""
+    p0 = np.array([a for a, _ in pairs], dtype=np.int64)
+    p1 = np.array([b for _, b in pairs], dtype=np.int64)
+    pos = -np.ones((n, n), dtype=np.int64)
+    pos[p0, p1] = np.arange(len(pairs), dtype=np.int64)
+    return pos, p0, p1
+
+
+def _pair_images(tab: np.ndarray, n: int, pos, p0, p1, slots: list[np.ndarray]) -> np.ndarray:
+    """Pair indices of f applied coordinatewise, for the basic operation f
+    with table `tab`, over the grid of the pair-index arrays in `slots` (one
+    per argument; a fixed argument is an array of length 1).  The result has
+    one axis per argument, in order."""
+    k = len(slots)
+    ia = ib = 0
+    for j, s in enumerate(slots):
+        shape = (1,) * j + (-1,) + (1,) * (k - j - 1)
+        ia = ia * n + p0[s].reshape(shape)
+        ib = ib * n + p1[s].reshape(shape)
+    return pos[tab[ia], tab[ib]]
 
 
 # Cost bound for materializing the deduplicated translation tables of a pair
@@ -238,11 +206,7 @@ def _pair_translation_matrix(base: FiniteAlgebra, theta: Partition) -> np.ndarra
     if cost > _PAIR_TRANSLATION_COST:
         base._cache[key] = None
         return None
-    pos = -np.ones((n, n), dtype=np.int64)
-    for i, (a, b) in enumerate(pairs):
-        pos[a, b] = i
-    p0 = np.array([a for a, _ in pairs], dtype=np.int64)
-    p1 = np.array([b for _, b in pairs], dtype=np.int64)
+    pos, p0, p1 = _pair_coordinates(n, pairs)
     ident = np.arange(m, dtype=np.int64)
 
     seen: set[bytes] = set()
@@ -261,45 +225,25 @@ def _pair_translation_matrix(base: FiniteAlgebra, theta: Partition) -> np.ndarra
                     return False
         return True
 
-    ok = True
-    for op in base.operations:
-        if not ok:
-            break
-        k = op.arity
-        tab = op.array()
-        if k == 1:
-            block = pos[tab[p0], tab[p1]].reshape(1, m)
-            ok = collect(block)
-        elif k == 2:
-            # variable in slot 0: table over u for each parameter j
-            ia = tab[p0[:, None] * n + p0[None, :]]
-            ib = tab[p1[:, None] * n + p1[None, :]]
-            ok = collect(pos[ia, ib].T) and collect(pos[ia, ib])
-        elif k == 3:
-            chunk = max(1, int(2e6) // max(1, m * m))
-            for slot in range(3):
-                for lo in range(0, m, chunk):
-                    js = np.arange(lo, min(lo + chunk, m))
-                    if slot == 0:
-                        ia = tab[(p0[:, None, None] * n + p0[None, js, None]) * n + p0[None, None, :]]
-                        ib = tab[(p1[:, None, None] * n + p1[None, js, None]) * n + p1[None, None, :]]
-                        block = pos[ia, ib].transpose(1, 2, 0).reshape(-1, m)
-                    elif slot == 1:
-                        ia = tab[(p0[None, js, None] * n + p0[:, None, None]) * n + p0[None, None, :]]
-                        ib = tab[(p1[None, js, None] * n + p1[:, None, None]) * n + p1[None, None, :]]
-                        block = pos[ia, ib].transpose(1, 2, 0).reshape(-1, m)
-                    else:
-                        ia = tab[(p0[None, js, None] * n + p0[None, None, :]) * n + p0[:, None, None]]
-                        ib = tab[(p1[None, js, None] * n + p1[None, None, :]) * n + p1[:, None, None]]
-                        block = pos[ia, ib].transpose(1, 2, 0).reshape(-1, m)
-                    ok = collect(block)
-                    if not ok:
-                        break
-                if not ok:
-                    break
-        else:
-            ok = False
-    result = np.array(rows, dtype=np.int64) if ok and rows else (None if not ok else np.empty((0, m), dtype=np.int64))
+    def blocks():
+        """Translation tables, a block at a time: argument `slot` runs over
+        all pairs, the others over parameters; a block holds a slice of the
+        first parameter axis."""
+        for op in base.operations:
+            k, tab = op.arity, op.array()
+            step = max(1, 2_000_000 // m ** (k - 1))
+            for slot in range(k):
+                for lo in range(0, m if k > 1 else 1, step):
+                    slots = [ident] * k
+                    if k > 1:
+                        slots[1 if slot == 0 else 0] = ident[lo : lo + step]
+                    grid = _pair_images(tab, n, pos, p0, p1, slots)
+                    yield np.moveaxis(grid, slot, -1).reshape(-1, m)
+
+    if not all(collect(block) for block in blocks()):
+        result = None
+    else:
+        result = np.array(rows, dtype=np.int64) if rows else np.empty((0, m), dtype=np.int64)
     base._cache[key] = result
     return result
 
@@ -317,11 +261,7 @@ def generated_pair_congruence(
     n = base.size
     pairs = pair_universe(theta)
     m = len(pairs)
-    pos = -np.ones((n, n), dtype=np.int64)
-    for i, (a, b) in enumerate(pairs):
-        pos[a, b] = i
-    p0 = np.array([a for a, _ in pairs], dtype=np.int64)
-    p1 = np.array([b for _, b in pairs], dtype=np.int64)
+    pos, p0, p1 = _pair_coordinates(n, pairs)
 
     uf = UnionFind(m)
     queue: deque[tuple[int, int]] = deque()
@@ -344,29 +284,14 @@ def generated_pair_congruence(
         return pairs, part
 
     ops = [(op.arity, op.array()) for op in base.operations]
+    every = np.arange(m, dtype=np.int64)
 
     def images(k: int, tab: np.ndarray, u: int, slot: int) -> np.ndarray:
         """Indices of f(.., u at `slot`, ..) over all fillings of the other
         slots by universe pairs, coordinatewise."""
-        ua, ub = pairs[u]
-        if k == 2:
-            if slot == 0:
-                ia, ib = tab[ua * n + p0], tab[ub * n + p1]
-            else:
-                ia, ib = tab[p0 * n + ua], tab[p1 * n + ub]
-            return pos[ia, ib]
-        if k == 3:
-            if slot == 0:
-                ia = tab[(ua * n + p0)[:, None] * n + p0[None, :]]
-                ib = tab[(ub * n + p1)[:, None] * n + p1[None, :]]
-            elif slot == 1:
-                ia = tab[(p0[:, None] * n + ua) * n + p0[None, :]]
-                ib = tab[(p1[:, None] * n + ub) * n + p1[None, :]]
-            else:
-                ia = tab[(p0[:, None] * n + p0[None, :]) * n + ua]
-                ib = tab[(p1[:, None] * n + p1[None, :]) * n + ub]
-            return pos[ia, ib].reshape(-1)
-        raise ValueError("pair congruence generation supports arity <= 3")
+        slots = [every] * k
+        slots[slot] = np.array([u], dtype=np.int64)
+        return _pair_images(tab, n, pos, p0, p1, slots).reshape(-1)
 
     roots = np.arange(m, dtype=np.int64)
 
@@ -382,14 +307,6 @@ def generated_pair_congruence(
         uf.union(ru, rv)
         refresh_roots()
         for k, tab in ops:
-            if k == 1:
-                ua, ub = pairs[u]
-                va, vb = pairs[v]
-                iu = int(pos[tab[ua], tab[ub]])
-                iv = int(pos[tab[va], tab[vb]])
-                if iu != iv:
-                    queue.append((iu, iv))
-                continue
             for slot in range(k):
                 # enqueue only distinct root pairs; roots may be slightly
                 # stale, which is harmless (popping re-checks)
@@ -404,8 +321,10 @@ def generated_pair_congruence(
 
 
 def diagonal_pair_congruence(algebra: FiniteAlgebra, theta: Partition, phi: Partition):
-    """The congruence of the pair algebra of theta generated by the diagonal
-    pairs of phi (the transitive closure of the matrix set), cached."""
+    """Delta: the congruence of the pair algebra of theta generated by the
+    diagonal pairs of phi, which is the transitive closure of M(theta, phi)
+    read as a relation on theta-pairs.  Returns (pair_list, partition on
+    pair indices), cached on the algebra."""
     key = ("pair_delta", theta, phi)
     cached = algebra._cache.get(key)
     if cached is not None:
@@ -416,94 +335,30 @@ def diagonal_pair_congruence(algebra: FiniteAlgebra, theta: Partition, phi: Part
     return result
 
 
-def _centralizes_by_delta(
-    algebra: FiniteAlgebra, phi: Partition, theta: Partition, delta: Partition
-) -> CentralityVerdict:
-    """Column condition on the transitive closure of M(theta, phi): within
-    every class of the diagonal congruence, membership of the pair in delta
-    must be constant."""
-    pairs, part = diagonal_pair_congruence(algebra, theta, phi)
-    for blk in part.blocks:
-        label0 = delta.related(*pairs[blk[0]])
-        for i in blk[1:]:
-            if delta.related(*pairs[i]) != label0:
-                p, q = (pairs[blk[0]], pairs[i]) if label0 else (pairs[i], pairs[blk[0]])
-                return CentralityVerdict(
-                    False, (p[0], p[1], q[0], q[1]), "columns-of-closure", "delta-classes"
-                )
-    return CentralityVerdict(True, None, None, "delta-classes")
-
-
 def centralizes(
-    algebra: FiniteAlgebra,
-    phi,
-    theta,
-    delta: Partition,
-    *,
-    cap: int = DEFAULT_CLOSURE_CAP,
+    algebra: FiniteAlgebra, phi: Partition, theta: Partition, delta: Partition
 ) -> CentralityVerdict:
     """Decide C(phi, theta; delta).
 
-    Both defining conditions are evaluated when the matrix spaces are small
-    enough: the row condition on M(phi, theta) and the column condition on
-    M(theta, phi).  Their verdicts must agree; if not, InconsistencyError is
-    raised.  Failing instances abort at the first violating matrix, which is
-    returned as the witness.
+    The verdict is read off Delta, the congruence of the pair algebra of
+    theta generated by the diagonal pairs of phi: the term condition holds
+    exactly when membership in delta is constant on every Delta-class.  A
+    failing verdict's witness is the first class, in block order, that
+    mixes a pair in delta with one outside it.
     """
     key = ("centralizes", phi, theta, delta)
     cached = algebra._cache.get(key)
     if cached is not None:
         return cached
-    n = algebra.size
-    drel = _related_array(delta, n)
-
-    big = (
-        isinstance(phi, Partition)
-        and isinstance(theta, Partition)
-        and max(
-            matrix_ambient_count(phi, theta, n), matrix_ambient_count(theta, phi, n)
-        )
-        > MATRIX_AMBIENT_LIMIT
-    )
-    if big:
-        verdict = _centralizes_by_delta(algebra, phi, theta, delta)
-        algebra._cache[key] = verdict
-        return verdict
-
-    def scan_or_close(first, second, checker):
-        """Violation scan over the cached full matrix set when available,
-        otherwise a fail-fast closure whose complete result is cached."""
-        ms_key = ("matrices", first, second)
-        ms = algebra._cache.get(ms_key)
-        if ms is not None:
-            rows = np.asarray(ms.matrices, dtype=np.int64)
-            hit = checker(rows)
-            return None if hit is None else tuple(int(x) for x in rows[hit])
-        members, wit = closure_in_power(
-            algebra,
-            4,
-            seed_matrices(algebra, first, second),
-            cap=cap,
-            cap_name="matrix set",
-            violation=checker,
-        )
-        if wit is None:
-            algebra._cache[ms_key] = MatrixSet(
-                algebra, first, second, "M", tuple(members)
-            )
-        return wit
-
-    wit1 = scan_or_close(phi, theta, _row_violation(drel))
-    wit2 = scan_or_close(theta, phi, _col_violation(drel))
-    if (wit1 is None) != (wit2 is None):
-        raise InconsistencyError(
-            f"term-condition routes disagree for C({phi!r}, {theta!r}; {delta!r}): "
-            f"row witness {wit1}, column witness {wit2}"
-        )
-    if wit1 is None:
-        verdict = CentralityVerdict(True, None, None, "matrices")
-    else:
-        verdict = CentralityVerdict(False, wit2, "columns", "matrices")
+    pairs, part = diagonal_pair_congruence(algebra, theta, phi)
+    verdict = CentralityVerdict(True, None)
+    for blk in part.blocks:
+        label0 = delta.related(*pairs[blk[0]])
+        odd = next((i for i in blk[1:] if delta.related(*pairs[i]) != label0), None)
+        if odd is not None:
+            p, q = (pairs[blk[0]], pairs[odd]) if label0 else (pairs[odd], pairs[blk[0]])
+            verdict = CentralityVerdict(False, (p[0], p[1], q[0], q[1]))
+            break
     algebra._cache[key] = verdict
     return verdict
 
@@ -521,9 +376,9 @@ def centralizer(algebra: FiniteAlgebra, delta: Partition, theta: Partition) -> P
     """(delta : theta): the largest congruence phi with C(phi, theta; delta).
 
     Computed as the join of the principal congruences that centralize theta
-    modulo delta (the passing set is downward closed and closed under join),
-    then re-verified; on universes of size <= 6 the result is additionally
-    cross-checked against brute force over the full congruence lattice.
+    modulo delta (the passing set is downward closed and closed under join);
+    the join itself is checked once more, and InconsistencyError is raised
+    if it fails.
     """
     key = ("centralizer", delta, theta)
     cached = algebra._cache.get(key)
@@ -540,16 +395,6 @@ def centralizer(algebra: FiniteAlgebra, delta: Partition, theta: Partition) -> P
             result = result.join(cand)
     if not centralizes(algebra, result, theta, delta).holds:
         raise InconsistencyError("centralizer sweep produced a non-centralizing join")
-    if algebra.size <= 6:
-        lattice = congruence_lattice(algebra)
-        best = Partition.zero(algebra.size)
-        for cand in lattice.elements:
-            if centralizes(algebra, cand, theta, delta).holds and best.leq(cand):
-                best = cand
-        if best != result:
-            raise InconsistencyError(
-                f"centralizer sweep {result!r} disagrees with lattice oracle {best!r}"
-            )
     algebra._cache[key] = result
     return result
 
@@ -626,6 +471,15 @@ def check_centrality_laws(
     rng = random.Random(seed)
     items = []
 
+    quotients: dict[Partition, Quotient] = {}
+
+    def quotient_by(p: Partition) -> Quotient:
+        """The quotient by p, built once per harness run so that its memo
+        (congruence lattice, pair congruences, verdicts) is shared by every law."""
+        if p not in quotients:
+            quotients[p] = quotient(algebra, p, check=False)
+        return quotients[p]
+
     def select(cases: list) -> list:
         if len(cases) <= max_cases:
             return cases
@@ -641,9 +495,7 @@ def check_centrality_laws(
     ]
     witness = None
     for dp, d, t in select(cases):
-        from .core import quotient
-
-        q = quotient(algebra, dp, check=False)
+        q = quotient_by(dp)
         proj = q.projection
         m = q.algebra.size
         lhs = centralizer(q.algebra, push_partition(d, proj, m), push_partition(t, proj, m))
@@ -664,9 +516,7 @@ def check_centrality_laws(
     # f^{-1}((lambda : mu)) = (f^{-1}(lambda) : f^{-1}(mu)) for natural maps f
     witness = None
     for dp in con:
-        from .core import quotient
-
-        q = quotient(algebra, dp, check=False)
+        q = quotient_by(dp)
         proj = q.projection
         qcon = congruence_lattice(q.algebra).elements
         for lam in qcon:
@@ -713,8 +563,6 @@ def check_centrality_laws(
             )
         return Report("centrality laws", tuple(items))
 
-    from .core import quotient
-
     # C(theta, theta; delta) => theta v delta = delta o theta o delta and
     # (theta v delta)/delta abelian
     witness = None
@@ -729,7 +577,7 @@ def check_centrality_laws(
             if composed != set(joined.pairs()):
                 witness = ("composition", theta, delta)
                 break
-            q = quotient(algebra, delta, check=False)
+            q = quotient_by(delta)
             up = push_partition(joined, q.projection, q.algebra.size)
             if not is_abelian(q.algebra, up):
                 witness = ("abelian-quotient", theta, delta)
@@ -754,9 +602,9 @@ def check_centrality_laws(
         for delta in con:
             sigma = tau.meet(delta)
             eps = tau.join(delta)
-            qs = quotient(algebra, sigma, check=False)
+            qs = quotient_by(sigma)
             ab_low = is_abelian(qs.algebra, push_partition(tau, qs.projection, qs.algebra.size))
-            qd = quotient(algebra, delta, check=False)
+            qd = quotient_by(delta)
             ab_high = is_abelian(qd.algebra, push_partition(eps, qd.projection, qd.algebra.size))
             if ab_low != ab_high and wit_ab is None:
                 wit_ab = (sigma, tau, delta, eps, ab_low, ab_high)

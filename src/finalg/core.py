@@ -247,31 +247,22 @@ def _apply_combos(tab: np.ndarray, n: int, parts: list[np.ndarray], width: int) 
     """Yield op results over the full cartesian grid of the given row blocks.
 
     Each part is an (m_i, width) array; results are yielded as (m, width)
-    chunks.  Grids larger than the chunk budget are split along axis 0.
-    Arity at most 3; used by the row-mode clone search in `diffterm`.
+    chunks in row-major grid order, for every arity.  Grids larger than the
+    chunk budget are split along axis 0.  Used by the row-mode clone search
+    in `diffterm`.
     """
     k = len(parts)
     sizes = [p.shape[0] for p in parts]
     if any(s == 0 for s in sizes):
         return
-    if k == 1:
-        yield tab[parts[0]]
-        return
     rest = 1
     for s in sizes[1:]:
         rest *= s
     step = max(1, _CHUNK_CELLS // max(1, rest * width))
-    p0 = parts[0]
     for lo in range(0, sizes[0], step):
-        x0 = p0[lo : lo + step]
-        if k == 2:
-            idx = x0[:, None, :] * n + parts[1][None, :, :]
-        elif k == 3:
-            idx = (x0[:, None, None, :] * n + parts[1][None, :, None, :]) * n + parts[2][
-                None, None, :, :
-            ]
-        else:
-            raise ValueError("_apply_combos supports arity <= 3")
+        idx = parts[0][lo : lo + step].reshape((-1,) + (1,) * (k - 1) + (width,))
+        for i in range(1, k):
+            idx = idx * n + parts[i].reshape((1,) * i + (-1,) + (1,) * (k - 1 - i) + (width,))
         yield tab[idx.reshape(-1, width)]
 
 

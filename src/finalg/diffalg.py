@@ -26,7 +26,6 @@ from .core import (
 )
 from .congruences import (
     Partition,
-    UnionFind,
     congruence_lattice,
     push_partition,
     structure_report,
@@ -35,14 +34,10 @@ from .centrality import (
     InconsistencyError,
     MatrixSet,
     centralizer,
+    diagonal_pair_congruence,
     generate_matrices,
     is_abelian,
-    matrix_ambient_count,
 )
-
-# The matrix-closure cross-check of the diagonal congruence runs whenever the
-# ambient matrix space is at most this big.
-DELTA_MATRIX_LIMIT = 5000
 from .diffterm import WdtCertificate, _is_minimal_congruence, class_group, verify_wdt
 from .report import CheckItem, Report
 
@@ -108,13 +103,13 @@ def pair_algebra(base: FiniteAlgebra, theta: Partition) -> PairAlgebra:
 
 @dataclass(frozen=True)
 class DeltaCongruence:
-    """The congruence of the pair algebra generated by the diagonal pairs of
-    phi, cross-checked against the transitive closure of the matrix set."""
+    """Delta: the congruence of the pair algebra generated by the diagonal
+    pairs of phi, which is the transitive closure of the matrix set
+    M(theta, phi) read as a relation on theta-pairs."""
 
     pair: PairAlgebra
     phi: Partition
     partition: Partition
-    trace: str
 
     def related(self, p: tuple[int, int], q: tuple[int, int]) -> bool:
         return self.partition.related(self.pair.pos[p], self.pair.pos[q])
@@ -138,42 +133,19 @@ class DeltaCongruence:
 def delta_congruence(
     pair: PairAlgebra, phi: Partition, *, certificate: WdtCertificate | None = None
 ) -> DeltaCongruence:
-    """Generate the diagonal congruence of the pair algebra two ways and
-    check they agree: congruence generation from the diagonal pairs of phi,
-    and the transitive closure of the matrix set M(theta, phi) reread as a
-    relation on pairs.
+    """Delta for phi on the pair algebra of theta, read from
+    `centrality.diagonal_pair_congruence`, the one computation of Delta that
+    the term condition also uses (and that is cached on the base algebra).
 
     With a verified weak difference term and theta abelian, the horizontal
     closure is additionally checked to be vertically symmetric and
     transitive, and the two-sided set for phi = theta is checked to already
     be transitively closed (so closure adds nothing).
     """
-    from .congruences import congruence_generated
-
     base = pair.base
     theta = pair.theta
-    seeds = [
-        (pair.diagonal_index(x), pair.diagonal_index(y)) for x, y in phi.pairs() if x <= y
-    ]
-    by_generation = congruence_generated(pair.algebra, seeds)
-
-    trace = "congruence generation"
-    ambient = matrix_ambient_count(theta, phi, base.size)
-    if ambient <= DELTA_MATRIX_LIMIT:
-        ms = generate_matrices(base, theta, phi)
-        uf = UnionFind(len(pair.pairs))
-        for a, b, c, d in ms.matrices:
-            uf.union(pair.pos[(a, b)], pair.pos[(c, d)])
-        by_matrices = Partition.from_labels(
-            len(pair.pairs), [uf.find(i) for i in range(len(pair.pairs))]
-        )
-        if by_matrices != by_generation:
-            raise InconsistencyError("matrix closure and congruence generation disagree")
-        trace = "congruence generation + matrix transitive closure (agree)"
-    else:
-        trace = "congruence generation only (matrix ambient too large)"
-
-    dc = DeltaCongruence(pair, phi, by_generation, trace)
+    _, partition = diagonal_pair_congruence(base, theta, phi)
+    dc = DeltaCongruence(pair, phi, partition)
 
     if certificate is not None and certificate.verdict and is_abelian(base, theta):
         dh = dc.horizontal_matrices().matrices
@@ -198,14 +170,9 @@ def delta_two_sided_check(pair: PairAlgebra, certificate: WdtCertificate) -> boo
     """For abelian theta with a weak difference term, the matrix set
     M(theta, theta) equals the horizontal closure of the diagonal congruence
     for phi = theta."""
-    from .congruences import congruence_generated
-
     base, theta = pair.base, pair.theta
-    seeds = [(pair.diagonal_index(x), pair.diagonal_index(y)) for x, y in theta.pairs() if x <= y]
-    delta_tt = congruence_generated(pair.algebra, seeds)
-    dh = set(
-        DeltaCongruence(pair, theta, delta_tt, "").horizontal_matrices().matrices
-    )
+    _, delta_tt = diagonal_pair_congruence(base, theta, theta)
+    dh = set(DeltaCongruence(pair, theta, delta_tt).horizontal_matrices().matrices)
     ms = set(generate_matrices(base, theta, theta).matrices)
     return dh == ms
 

@@ -609,7 +609,10 @@ def check_wdt_laws(
 
     witness = None
     compared = False
-    other = _searched_table(algebra)
+    # a term-derived certificate is the deterministic clone search's own
+    # first hit, so searching again could only find that same table
+    own_hit = certificate.provenance == "term-derived"
+    other = None if own_hit else _searched_table(algebra)
     if other is not None and other != certificate.d:
         for theta in abelians:
             for blk in theta.blocks:
@@ -623,6 +626,12 @@ def check_wdt_laws(
                     break
             if witness:
                 break
+    if compared:
+        note = ""
+    elif own_hit:
+        note = "skipped: certificate is the clone search's own first hit"
+    else:
+        note = "skipped: no passing table other than the certificate's to compare"
     items.append(
         CheckItem(
             id="term-agreement",
@@ -630,7 +639,7 @@ def check_wdt_laws(
             statement="any two passing ternary tables agree on abelian classes",
             passed=witness is None if compared else None,
             witness=witness,
-            note="" if compared else "skipped: no passing table other than the certificate's to compare",
+            note=note,
         )
     )
 

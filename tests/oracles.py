@@ -6,7 +6,8 @@ matrix sets are closed by full-grid fixpoint iteration.  None of it shares
 code with the library's incremental engines.  The one exception to
 "naive" is `reference_closure`, the former closure engine, kept verbatim as
 the reference that `closure_in_power` must match member for member and
-witness for witness.
+witness for witness; the matrix routes of the term condition
+(`matrix_centralizes`) run on it.
 """
 
 from __future__ import annotations
@@ -329,3 +330,48 @@ def reference_closure(
         all_rows = _unpack(known_codes, n, width)
 
     return finish()
+
+
+# ---------------------------------------------------------------------------
+# The matrix routes of the term condition, on the reference closure: the
+# library decides C(phi, theta; delta) on the diagonal congruence Delta alone,
+# and these are the reference it must match.
+# ---------------------------------------------------------------------------
+
+
+def reference_matrices(algebra: FiniteAlgebra, theta: Partition, phi: Partition) -> list:
+    """M(theta, phi): equal-column seeds from theta and equal-row seeds from
+    phi, closed by the reference closure."""
+    members, _ = reference_closure(algebra, 4, seed_matrices(theta.pairs(), phi.pairs()))
+    return members
+
+
+def matrix_centralizes(
+    algebra: FiniteAlgebra, phi: Partition, theta: Partition, delta: Partition
+) -> tuple[bool, bool]:
+    """C(phi, theta; delta) by both matrix routes: (the row condition on
+    M(phi, theta), the column condition on M(theta, phi))."""
+    rows_ok = all(
+        delta.related(a1, a3) == delta.related(a2, a4)
+        for a1, a2, a3, a4 in reference_matrices(algebra, phi, theta)
+    )
+    cols_ok = all(
+        delta.related(a1, a2) == delta.related(a3, a4)
+        for a1, a2, a3, a4 in reference_matrices(algebra, theta, phi)
+    )
+    return rows_ok, cols_ok
+
+
+def matrix_delta_classes(algebra: FiniteAlgebra, theta: Partition, phi: Partition) -> dict:
+    """The transitive closure of M(theta, phi) read as a relation on
+    theta-pairs: a map from each theta-pair to a label of its class."""
+    parent = {p: p for p in theta.pairs()}
+
+    def find(p):
+        while parent[p] != p:
+            p = parent[p]
+        return p
+
+    for a1, a2, a3, a4 in reference_matrices(algebra, theta, phi):
+        parent[find((a1, a2))] = find((a3, a4))
+    return {p: find(p) for p in parent}

@@ -216,10 +216,11 @@ def test_criterion_6_perspectivity_transfer():
 
 
 def test_criterion_7_law_sweep():
-    """200 seeded random algebras: the two term-condition routes never
-    disagree, centralizers match the brute-force lattice oracle, principal
-    congruences match the brute-force minimum, and abelianness coincides
-    with the two-term condition whenever a weak difference term is found."""
+    """200 seeded random algebras: centralizers match the brute-force lattice
+    oracle (both matrix routes of the term condition, by naive closure),
+    principal congruences match the brute-force minimum, and abelianness
+    coincides with the two-term condition whenever a weak difference term is
+    found."""
     started = time.time()
     rng = random.Random(20260810)
     checked_wdt = 0
@@ -240,8 +241,8 @@ def test_criterion_7_law_sweep():
 
         zero = Partition.zero(n)
         for theta in lat.elements:
-            # library centralizer (evaluating both term-condition routes
-            # internally) against the independent naive oracle
+            # library centralizer (the term condition read off the diagonal
+            # congruence) against the independent naive oracle
             cent = centralizer(algebra, zero, theta)
             best = zero
             for cand in lat.elements:

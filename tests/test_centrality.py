@@ -12,6 +12,8 @@ from finalg import (
     is_abelian,
     two_term_condition,
 )
+from finalg import centrality
+from finalg.core import quotient
 from finalg.diffterm import search_wdt
 
 from oracles import brute_centralizer, brute_centralizes, naive_matrix_closure, seed_matrices
@@ -55,8 +57,8 @@ def test_centralizes_examples(z2, s2, z4, z4_theta):
     assert centralizes(z2, one2, one2, zero2).holds
     v = centralizes(s2, one2, one2, zero2)
     assert not v.holds
-    # the witness matrix realizes the failing term instance of the meet:
-    # equal first column, differing second
+    # the witness: the pairs (0, 0) and (0, 1) lie in one class of the
+    # diagonal congruence, and only the first is in delta
     assert v.witness == (0, 0, 0, 1)
     assert centralizes(z4, Partition.zero(4), z4_theta, Partition.zero(4)).holds
 
@@ -156,6 +158,27 @@ def test_centrality_laws_two_sq(two_sq, cert_two_sq):
     lhs = centralizer(two_sq, Partition.zero(4), eta1)
     rhs = centralizer(two_sq, eta2, Partition.one(4))
     assert lhs == rhs == Partition.one(4)
+
+
+def test_centrality_laws_build_each_quotient_once(gen1, cert_gen1, monkeypatch):
+    calls = []
+
+    def counting_quotient(algebra, theta, **kwargs):
+        calls.append(theta)
+        return quotient(algebra, theta, **kwargs)
+
+    monkeypatch.setattr(centrality, "quotient", counting_quotient)
+    rep = check_centrality_laws(gen1.algebra, certificate=cert_gen1)
+    con = congruence_lattice(gen1.algebra).elements
+    assert 0 < len(calls) <= len(con)
+    assert len(set(calls)) == len(calls)
+    assert [(item.id, item.passed, item.witness) for item in rep.items] == [
+        ("quotient-centralizer", True, None),
+        ("preimage-centralizer", True, None),
+        ("abelian-join-absorption", True, None),
+        ("perspective-abelian-transfer", True, None),
+        ("perspective-centralizer-transfer", True, None),
+    ]
 
 
 def test_centrality_laws_trivial_algebra():

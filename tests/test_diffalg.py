@@ -6,11 +6,13 @@ from finalg import (
     FiniteAlgebra,
     Partition,
     arrow_graph,
+    centralizer,
     certificate_from_operation,
     class_group,
     delta_congruence,
     difference_algebra,
     find_isomorphism,
+    generate_matrices,
     lambda_embed,
     pair_algebra,
     range_of_class,
@@ -32,7 +34,22 @@ def test_pair_algebra_examples(z4, z2, z4_theta):
     assert lifted == Partition.one(8)
 
 
-def test_delta_examples(z2, z4, z4_theta):
+def _matrix_transitive_closure(pair, matrices):
+    """The transitive closure of a matrix set read as a relation on
+    theta-pairs (a, b) ~ (c, d), as a partition of the pair indices."""
+    parent = list(range(len(pair.pairs)))
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for a, b, c, d in matrices:
+        parent[find(pair.pos[(a, b)])] = find(pair.pos[(c, d)])
+    return Partition.from_labels(len(parent), [find(i) for i in range(len(parent))])
+
+
+def test_delta_examples(z2, z4, z4_theta, gen1):
     p2 = pair_algebra(z2, Partition.one(2))
     dc = delta_congruence(p2, Partition.one(2))
     classes = {frozenset(p2.pairs[i] for i in blk) for blk in dc.partition.blocks}
@@ -45,7 +62,21 @@ def test_delta_examples(z2, z4, z4_theta):
     assert sorted(len(blk) for blk in dc4.partition.blocks) == [4, 4]
     dc0 = delta_congruence(p4, Partition.zero(4))
     assert dc0.partition == Partition.zero(8)
-    assert "agree" in dc4.trace
+    # Delta is the transitive closure of M(theta, phi)
+    g = gen1.algebra
+    cases = [
+        (z2, Partition.one(2), Partition.one(2)),
+        (z4, z4_theta, Partition.one(4)),
+        (z4, z4_theta, Partition.zero(4)),
+        (z4, Partition.one(4), z4_theta),
+        (g, gen1.mu, Partition.one(g.size)),
+        (g, gen1.mu, centralizer(g, Partition.zero(g.size), gen1.mu)),
+        (g, Partition.one(g.size), gen1.mu),
+    ]
+    for base, theta, phi in cases:
+        pair = pair_algebra(base, theta)
+        closure = _matrix_transitive_closure(pair, generate_matrices(base, theta, phi).matrices)
+        assert delta_congruence(pair, phi).partition == closure
 
 
 def test_delta_with_certificate_checks(z4, cert_z4, z4_theta):

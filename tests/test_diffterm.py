@@ -16,6 +16,7 @@ from finalg import (
     transversal_automorphism,
     verify_wdt,
 )
+from finalg import diffterm
 from finalg.diffterm import subuniverse_transversals
 
 
@@ -61,6 +62,16 @@ def test_search_wdt_cap():
     alg = FiniteAlgebra(2, [("xor", 2, table)])
     with pytest.raises(CapExceededError):
         search_wdt(alg, cap=2)
+
+
+def test_search_wdt_quaternary():
+    # q(x, y, z, w) = x - y + z mod 3: the clone search applies a 4-ary
+    # operation, and checking its hit exercises the pair-congruence kernel
+    # at arity 4
+    table = [(x - y + z) % 3 for x, y, z, _ in itertools.product(range(3), repeat=4)]
+    cert = search_wdt(FiniteAlgebra(3, [("q", 4, table)]), cap=100)
+    assert cert is not None and cert.verdict
+    assert cert.d == tuple((x - y + z) % 3 for x, y, z in itertools.product(range(3), repeat=3))
 
 
 def test_class_group_examples(z4, z2, cert_z4, cert_z2, z4_theta):
@@ -162,6 +173,20 @@ def test_wdt_laws_z4(z4, cert_z4):
     # no subuniverse transversal: both checks examine nothing, so they skip
     assert rep.item("term-agreement").passed is None
     assert rep.item("transversal-maximality").passed is None
+
+
+def test_wdt_laws_term_derived_skips_search(z4, monkeypatch):
+    cert = search_wdt(z4)
+    assert cert.provenance == "term-derived"
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("term-agreement searched again for its own certificate")
+
+    monkeypatch.setattr(diffterm, "search_wdt", no_search)
+    rep = check_wdt_laws(z4, cert)
+    item = rep.item("term-agreement")
+    assert item.passed is None
+    assert item.note == "skipped: certificate is the clone search's own first hit"
 
 
 def test_wdt_laws_gen2(gen2, cert_gen2):
