@@ -19,13 +19,14 @@ Delta of the pair algebra of theta generated by the diagonal pairs
 ((x, x), (y, y)) with (x, y) in phi.  The column condition survives the
 chaining of matrices, so C(phi, theta; delta) holds exactly when membership
 in delta is constant on every Delta-class (Freese and McKenzie, Commutator
-Theory for Congruence Modular Varieties, 1987).  Delta is generated by
-union-find on pair indices, without building the tables of the pair algebra.
+Theory for Congruence Modular Varieties, 1987).  Delta is generated by the
+congruence kernel of `congruences`, which works on the translations of the
+pair algebra factored as t_a x t_b and never builds its tables.
 """
 
 from __future__ import annotations
 
-from collections import deque
+import random
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -34,8 +35,8 @@ import numpy as np
 from .core import DEFAULT_CLOSURE_CAP, FiniteAlgebra, Quotient, closure_in_power, quotient
 from .congruences import (
     Partition,
-    UnionFind,
     _distinct_principal_congruences,
+    _generate_congruence,
     compose_relations,
     congruence_lattice,
     pull_partition,
@@ -157,167 +158,22 @@ class CentralityVerdict:
         return self.holds
 
 
-def pair_universe(theta: Partition) -> list[tuple[int, int]]:
-    """The universe of the pair algebra of theta, in lexicographic order."""
-    return sorted((a, b) for blk in theta.blocks for a in blk for b in blk)
-
-
-def _pair_coordinates(n: int, pairs: list[tuple[int, int]]):
-    """(pos, p0, p1): pos[a, b] is the index of the pair (a, b) (-1 off the
-    pair set), p0 and p1 the coordinate arrays of the pairs."""
-    p0 = np.array([a for a, _ in pairs], dtype=np.int64)
-    p1 = np.array([b for _, b in pairs], dtype=np.int64)
-    pos = -np.ones((n, n), dtype=np.int64)
-    pos[p0, p1] = np.arange(len(pairs), dtype=np.int64)
-    return pos, p0, p1
-
-
-def _pair_images(tab: np.ndarray, n: int, pos, p0, p1, slots: list[np.ndarray]) -> np.ndarray:
-    """Pair indices of f applied coordinatewise, for the basic operation f
-    with table `tab`, over the grid of the pair-index arrays in `slots` (one
-    per argument; a fixed argument is an array of length 1).  The result has
-    one axis per argument, in order."""
-    k = len(slots)
-    ia = ib = 0
-    for j, s in enumerate(slots):
-        shape = (1,) * j + (-1,) + (1,) * (k - j - 1)
-        ia = ia * n + p0[s].reshape(shape)
-        ib = ib * n + p1[s].reshape(shape)
-    return pos[tab[ia], tab[ib]]
-
-
-# Cost bound for materializing the deduplicated translation tables of a pair
-# algebra, and a cap on how many distinct tables are kept.
-_PAIR_TRANSLATION_COST = 3 * 10**8
-_PAIR_TRANSLATION_CAP = 4000
-
-
-def _pair_translation_matrix(base: FiniteAlgebra, theta: Partition) -> np.ndarray | None:
-    """Deduplicated unary translation tables of the pair algebra of theta,
-    one row per translation, or None when building them would be too costly.
-    Identity and constant rows are dropped."""
-    key = ("pair_trans", theta)
-    if key in base._cache:
-        return base._cache[key]
-    pairs = pair_universe(theta)
-    m = len(pairs)
-    n = base.size
-    cost = sum(op.arity * m**op.arity for op in base.operations if op.arity > 1)
-    if cost > _PAIR_TRANSLATION_COST:
-        base._cache[key] = None
-        return None
-    pos, p0, p1 = _pair_coordinates(n, pairs)
-    ident = np.arange(m, dtype=np.int64)
-
-    seen: set[bytes] = set()
-    rows: list[np.ndarray] = []
-
-    def collect(block: np.ndarray) -> bool:
-        """block: (num_tables, m); returns False when the cap is exceeded."""
-        for row in np.unique(block, axis=0):
-            if np.array_equal(row, ident) or row[0] == row.min() == row.max():
-                continue
-            bkey = row.tobytes()
-            if bkey not in seen:
-                seen.add(bkey)
-                rows.append(row)
-                if len(rows) > _PAIR_TRANSLATION_CAP:
-                    return False
-        return True
-
-    def blocks():
-        """Translation tables, a block at a time: argument `slot` runs over
-        all pairs, the others over parameters; a block holds a slice of the
-        first parameter axis."""
-        for op in base.operations:
-            k, tab = op.arity, op.array()
-            step = max(1, 2_000_000 // m ** (k - 1))
-            for slot in range(k):
-                for lo in range(0, m if k > 1 else 1, step):
-                    slots = [ident] * k
-                    if k > 1:
-                        slots[1 if slot == 0 else 0] = ident[lo : lo + step]
-                    grid = _pair_images(tab, n, pos, p0, p1, slots)
-                    yield np.moveaxis(grid, slot, -1).reshape(-1, m)
-
-    if not all(collect(block) for block in blocks()):
-        result = None
-    else:
-        result = np.array(rows, dtype=np.int64) if rows else np.empty((0, m), dtype=np.int64)
-    base._cache[key] = result
-    return result
-
-
 def generated_pair_congruence(
     base: FiniteAlgebra,
     theta: Partition,
     seed_pairs: Iterable[tuple[tuple[int, int], tuple[int, int]]],
 ):
-    """Congruence of the pair algebra of theta generated by `seed_pairs`,
-    computed without materializing operation tables of the pair algebra.
+    """Congruence of the pair algebra of theta generated by `seed_pairs`
+    (pairs of theta-pairs), computed by the one congruence kernel of
+    `congruences`, which works on the pair algebra's translations factored
+    as t_a x t_b and never builds its tables.  Raises ValueError for a seed
+    outside the pair algebra.
 
-    Returns (pair_list, partition on pair indices).
+    Returns (pair_list, partition on pair indices), the pairs in
+    lexicographic order.
     """
-    n = base.size
-    pairs = pair_universe(theta)
-    m = len(pairs)
-    pos, p0, p1 = _pair_coordinates(n, pairs)
-
-    uf = UnionFind(m)
-    queue: deque[tuple[int, int]] = deque()
-    for (a, b), (c, d) in seed_pairs:
-        queue.append((int(pos[a, b]), int(pos[c, d])))
-
-    trans = _pair_translation_matrix(base, theta)
-    if trans is not None:
-        while queue:
-            u, v = queue.popleft()
-            if not uf.union(u, v):
-                continue
-            if trans.shape[0]:
-                tu = trans[:, u]
-                tv = trans[:, v]
-                mask = tu != tv
-                if mask.any():
-                    queue.extend(zip(tu[mask].tolist(), tv[mask].tolist()))
-        part = Partition.from_labels(m, [uf.find(i) for i in range(m)])
-        return pairs, part
-
-    ops = [(op.arity, op.array()) for op in base.operations]
-    every = np.arange(m, dtype=np.int64)
-
-    def images(k: int, tab: np.ndarray, u: int, slot: int) -> np.ndarray:
-        """Indices of f(.., u at `slot`, ..) over all fillings of the other
-        slots by universe pairs, coordinatewise."""
-        slots = [every] * k
-        slots[slot] = np.array([u], dtype=np.int64)
-        return _pair_images(tab, n, pos, p0, p1, slots).reshape(-1)
-
-    roots = np.arange(m, dtype=np.int64)
-
-    def refresh_roots():
-        for i in range(m):
-            roots[i] = uf.find(i)
-
-    while queue:
-        u, v = queue.popleft()
-        ru, rv = uf.find(u), uf.find(v)
-        if ru == rv:
-            continue
-        uf.union(ru, rv)
-        refresh_roots()
-        for k, tab in ops:
-            for slot in range(k):
-                # enqueue only distinct root pairs; roots may be slightly
-                # stale, which is harmless (popping re-checks)
-                iu = roots[images(k, tab, u, slot)]
-                iv = roots[images(k, tab, v, slot)]
-                mask = iu != iv
-                if mask.any():
-                    fresh = np.unique(np.stack([iu[mask], iv[mask]], axis=1), axis=0)
-                    queue.extend(map(tuple, fresh.tolist()))
-    part = Partition.from_labels(m, [uf.find(i) for i in range(m)])
-    return pairs, part
+    pairs, roots = _generate_congruence(base, theta, seed_pairs)
+    return pairs, Partition.from_labels(len(pairs), roots.tolist())
 
 
 def diagonal_pair_congruence(algebra: FiniteAlgebra, theta: Partition, phi: Partition):
@@ -464,8 +320,6 @@ def check_centrality_laws(
     for this algebra) is supplied.  Case enumeration is exhaustive up to
     `max_cases` per law, after which cases are sampled with the given seed.
     """
-    import random
-
     lattice = congruence_lattice(algebra)
     con = lattice.elements
     rng = random.Random(seed)

@@ -3,27 +3,43 @@
 Every command reads algebra documents, runs one pipeline stage, prints a
 deterministic report to stdout (and to --out when given), and exits with
 0 when every check passes or the computation succeeds, 1 on a verified
-negative (a failing law, "not similar", no term found), and 2 on usage or
-input errors.
+negative (a failing law, "not similar", no term found), 2 on usage or
+input errors (and on an exceeded generation cap), and 3 on an internal
+error: a computed object that lacks a property the theory guarantees
+(`InconsistencyError`), reported on an `internal-error:` line.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import random
 import sys
 import time
 
 from .core import CapExceededError, FiniteAlgebra
 from .congruences import Partition, congruence_lattice, structure_report
-from .centrality import InconsistencyError, centralizer, check_centrality_laws, is_abelian, two_term_condition
+from .centrality import (
+    InconsistencyError,
+    centralizer,
+    centralizes,
+    check_centrality_laws,
+    is_abelian,
+    two_term_condition,
+)
 from .diffterm import (
     certificate_from_operation,
     check_wdt_laws,
     search_wdt,
     verify_wdt,
 )
-from .diffalg import arrow_graph, difference_algebra, range_of_class, verify_diffalg_theorems
+from .diffalg import (
+    arrow_graph,
+    delta_congruence,
+    difference_algebra,
+    range_of_class,
+    verify_diffalg_theorems,
+)
 from .similarity import bridge_construct, diff_of, freese_ring, is_similar
 from .generator import (
     build_field,
@@ -166,7 +182,7 @@ def run_command(argv) -> tuple[int, str]:
         return 2, text
     except InconsistencyError as exc:
         text = f"# finalg report\ncommand: {command_echo}\ninternal-error: {exc}\n"
-        return 2, text
+        return 3, text
 
     text = serialize_report(report, command=command_echo)
     outfile = getattr(args, "outfile", None)
@@ -203,8 +219,6 @@ def _dispatch(args) -> tuple[int, Report]:
         return 0, Report("finite field", tuple(items))
 
     if cmd == "generate":
-        import json
-
         with open(args.config, "r", encoding="utf-8") as fh:
             config = config_from_dict(json.load(fh))
         gen = generate_example(config)
@@ -258,8 +272,6 @@ def _dispatch(args) -> tuple[int, Report]:
             for theta in lat.elements:
                 cent = centralizer(algebra, Partition.zero(algebra.size), theta)
                 oracle = Partition.zero(algebra.size)
-                from .centrality import centralizes
-
                 for cand in lat.elements:
                     if centralizes(algebra, cand, theta, Partition.zero(algebra.size)).holds:
                         if oracle.leq(cand):
@@ -353,8 +365,6 @@ def _dispatch(args) -> tuple[int, Report]:
             if args.delta
             else Partition.zero(algebra.size)
         )
-        from .centrality import centralizes
-
         verdict = centralizes(algebra, theta, theta, delta)
         items = [
             CheckItem(
@@ -428,8 +438,6 @@ def _dispatch(args) -> tuple[int, Report]:
         )
         extra = ()
         if getattr(args, "phi", None):
-            from .diffalg import delta_congruence
-
             phi = parse_partition_argument(args.phi, algebra.size, labels)
             dc = delta_congruence(da.pair, phi, certificate=cert)
             classes = "; ".join(

@@ -2,10 +2,19 @@
 
 Partitions are stored normalized (blocks sorted by least element, elements
 sorted inside each block) so they are hashable and can be compared in the
-refinement order.  Principal congruences are generated with the classic
-worklist: when two classes merge, the merged pair is pushed through every
-unary basic translation (one basic operation, one free slot, all parameter
-tuples).
+refinement order.
+
+Congruences are generated by one kernel, `_generate_congruence`: Freese's
+worklist (R. Freese, Computing congruences efficiently, Algebra Universalis
+59, 2008) on the pair algebra of a congruence theta, run a round at a time
+in numpy.  A unary translation of the pair algebra is a product t_a x t_b of
+two basic translations of the algebra (one basic operation, one free slot,
+parameter tuples a and b related by theta coordinatewise), so the kernel
+keeps the deduplicated basic translations once per algebra and the pair
+translations as pairs of row ids once per theta; no table of the pair
+algebra is built.  `congruence_generated` is the case theta = 0, whose pair
+algebra, the diagonal, is a copy of the algebra; the pair algebras of the
+term condition (`centrality.generated_pair_congruence`) are the others.
 """
 
 from __future__ import annotations
@@ -17,6 +26,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from . import core
 from .core import CapExceededError, FiniteAlgebra
 
 DEFAULT_LATTICE_CAP = 10**5
@@ -187,67 +197,187 @@ def compose_relations(p: Partition, q: Partition) -> frozenset[tuple[int, int]]:
 # ---------------------------------------------------------------------------
 
 
-def _translation_matrix(algebra: FiniteAlgebra) -> np.ndarray:
-    """All unary basic translations as one (T, n) table, deduplicated.
+def _distinct(codes: np.ndarray) -> np.ndarray:
+    """The distinct values of an int64 array, sorted.  A sort and a mask: on
+    int64 this is several times faster than `np.unique` at numpy 2.4."""
+    codes = np.sort(codes)
+    keep = np.ones(len(codes), dtype=bool)
+    np.not_equal(codes[1:], codes[:-1], out=keep[1:])
+    return codes[keep]
+
+
+def _base_translations(algebra: FiniteAlgebra):
+    """(table, ids): the distinct unary basic translations of the algebra
+    as the rows of one (t, n) table, and for each operation and slot the
+    arity and the row id of every parameter tuple, in lexicographic code
+    order.  Memoized on the algebra.
 
     A basic translation fixes one argument slot of a basic operation and
-    fills the rest with constants.  Identity and constant rows are dropped;
-    they never merge anything new.
+    fills the others with parameters.
     """
     cached = algebra._cache.get("translations")
     if cached is not None:
         return cached
     n = algebra.size
-    rows: set[tuple[int, ...]] = set()
-    ident = tuple(range(n))
-    xs = np.arange(n, dtype=np.int64)
+    blocks = [
+        np.moveaxis(op.array().reshape((n,) * op.arity), slot, -1).reshape(-1, n)
+        for op in algebra.operations
+        for slot in range(op.arity)
+    ]
+    rows = np.concatenate(blocks) if blocks else np.empty((0, n), dtype=np.int64)
+    keys = rows.view(np.dtype((np.void, rows.itemsize * n))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    table = rows[first]
+    ids = []
+    start = 0
     for op in algebra.operations:
-        k = op.arity
-        tab = op.array()
-        if k == 1:
-            row = tuple(tab.tolist())
-            if row != ident and len(set(row)) > 1:
-                rows.add(row)
-            continue
-        for pos in range(k):
-            for params in itertools.product(range(n), repeat=k - 1):
-                idx = np.zeros(n, dtype=np.int64)
-                pj = 0
-                for j in range(k):
-                    if j == pos:
-                        idx = idx * n + xs
-                    else:
-                        idx = idx * n + params[pj]
-                        pj += 1
-                row = tuple(tab[idx].tolist())
-                if row != ident and len(set(row)) > 1:
-                    rows.add(row)
-    mat = np.array(sorted(rows), dtype=np.int64) if rows else np.empty((0, n), dtype=np.int64)
-    algebra._cache["translations"] = mat
-    return mat
+        for _ in range(op.arity):
+            ids.append((op.arity, inverse[start : start + n ** (op.arity - 1)]))
+            start += n ** (op.arity - 1)
+    result = (table, ids)
+    algebra._cache["translations"] = result
+    return result
+
+
+def _pair_translations(algebra: FiniteAlgebra, theta: Partition | None):
+    """The pair algebra of theta (a copy of the algebra when theta is None,
+    i.e. 0) as the congruence kernel reads it.  Memoized on the algebra.
+
+    Returns (pairs, pos, p0, p1, scaled, flat, rows0, rows1).  `pairs`
+    lists the universe, p0 and p1 are its coordinate arrays and
+    pos[x0 * n + x1] is the index of the pair (x0, x1), -1 off the universe.
+    A translation of the pair algebra acts as (x0, x1) -> (t_i(x0), t_j(x1))
+    for two base translations t_i, t_j whose parameter tuples are
+    theta-related coordinatewise.  It is stored as the offsets rows0 = i * n
+    and rows1 = j * n, one (P, 1) column each, into `flat`, the base
+    translation table flattened, and `scaled` = flat * n, so that it sends
+    the pair (x0, x1) to pos[scaled[rows0 + x0] + flat[rows1 + x1]].
+    Translations that never relate two distinct elements (both factors
+    constant, or the identity twice) are dropped.
+    """
+    key = ("pair_translations", theta)
+    cached = algebra._cache.get(key)
+    if cached is not None:
+        return cached
+    n = algebra.size
+    table, ids = _base_translations(algebra)
+    t = len(table)
+    blocks = [[x] for x in range(n)] if theta is None else theta.blocks
+    pairs = sorted((a, b) for blk in blocks for a in blk for b in blk)
+    m = len(pairs)
+    p0 = np.array([a for a, _ in pairs], dtype=np.int64)
+    p1 = np.array([b for _, b in pairs], dtype=np.int64)
+    pos = np.full(n * n, -1, dtype=np.int64)
+    pos[p0 * n + p1] = np.arange(m, dtype=np.int64)
+    # the parameter tuples of one (operation, slot) are the theta-pairs
+    # coordinatewise, enumerated by their index in base m a slice at a time;
+    # a slice holds about six int64 temporaries
+    step = max(1, core._CHUNK_CELLS // 6)
+    codes = np.empty(0, dtype=np.int64)
+    for arity, row_ids in ids:
+        total = m ** (arity - 1)
+        for lo in range(0, total, step):
+            q = np.arange(lo, min(total, lo + step), dtype=np.int64)
+            c0 = np.zeros_like(q)
+            c1 = np.zeros_like(q)
+            scale = 1
+            for _ in range(arity - 1):
+                digit = q % m
+                q //= m
+                c0 += p0[digit] * scale
+                c1 += p1[digit] * scale
+                scale *= n
+            codes = _distinct(np.concatenate((codes, row_ids[c0] * t + row_ids[c1])))
+    i, j = np.divmod(codes, t)
+    const = (table == table[:, :1]).all(axis=1)
+    ident = (table == np.arange(n)).all(axis=1)
+    live = ~((const[i] & const[j]) | (ident[i] & ident[j]))
+    flat = table.ravel()
+    result = (pairs, pos, p0, p1, flat * n, flat, (i[live] * n)[:, None], (j[live] * n)[:, None])
+    algebra._cache[key] = result
+    return result
+
+
+def _generate_congruence(
+    algebra: FiniteAlgebra,
+    theta: Partition | None,
+    seeds: Iterable[tuple[tuple[int, int], tuple[int, int]]],
+):
+    """The congruence generation kernel: the congruence of the pair algebra
+    of theta (of the algebra itself when theta is None) generated by the
+    seed pairs of universe elements, as (pairs, roots) with roots[i] the
+    least index in the class of pairs[i].
+
+    Freese's worklist (Computing congruences efficiently, Algebra Universalis
+    59, 2008), a round at a time: union the pending pairs, relabel the
+    roots, push every pair that merged through all translations of the pair
+    algebra in one gather, and pend the distinct root pairs that differ.
+    Pushing only the merging pairs suffices, since they connect every class.
+    The gather is sliced over the translations within `core._CHUNK_CELLS`.
+    """
+    pairs, pos, p0, p1, scaled, flat, rows0, rows1 = _pair_translations(algebra, theta)
+    n, m = algebra.size, len(pairs)
+    # pending pairs (u, v) of universe indices travel as codes u * m + v
+    pending = []
+    for (a, b), (c, d) in seeds:
+        if not all(0 <= x < n for x in (a, b, c, d)) or pos[a * n + b] < 0 or pos[c * n + d] < 0:
+            raise ValueError(f"seed {((a, b), (c, d))} lies outside the pair algebra")
+        pending.append(int(pos[a * n + b]) * m + int(pos[c * n + d]))
+    parent = list(range(m))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    roots = np.arange(m, dtype=np.int64)
+    # a slice of the gather holds about eight int64 temporaries per cell
+    cells = max(1, core._CHUNK_CELLS // 8)
+    while pending:
+        us, vs = [], []
+        for code in pending:
+            u, v = divmod(code, m)
+            ru, rv = find(u), find(v)
+            if ru != rv:
+                parent[max(ru, rv)] = min(ru, rv)
+                us.append(u)
+                vs.append(v)
+        if not us:
+            break
+        # every pending element was a root when it was pended
+        touched = list(set(us).union(vs))
+        relabel = np.arange(m, dtype=np.int64)
+        relabel[touched] = [find(x) for x in touched]
+        roots = relabel[roots]
+        # one stacked gather: the first e columns are the u, the rest the v
+        e = len(us)
+        ends = np.array(us + vs, dtype=np.int64)
+        x0, x1 = p0[ends], p1[ends]
+        step = max(1, cells // (2 * e))
+        found = np.empty(0, dtype=np.int64)
+        for lo in range(0, len(rows0), step):
+            img = roots[pos[scaled[rows0[lo : lo + step] + x0] + flat[rows1[lo : lo + step] + x1]]]
+            iu, iv = img[:, :e], img[:, e:]
+            differ = iu != iv
+            codes = np.minimum(iu, iv)[differ] * m + np.maximum(iu, iv)[differ]
+            found = _distinct(np.concatenate((found, codes)))
+        pending = found.tolist()
+    return pairs, roots
 
 
 def congruence_generated(algebra: FiniteAlgebra, pairs: Iterable[tuple[int, int]]) -> Partition:
-    """Least congruence of `algebra` containing all the given pairs."""
+    """Least congruence of `algebra` containing all the given pairs: the
+    congruence kernel run on the pair algebra of 0, the diagonal, a copy of
+    the algebra."""
     n = algebra.size
-    trans = _translation_matrix(algebra)
-    uf = UnionFind(n)
-    queue = deque()
+    seeds = []
     for a, b in pairs:
         if not (0 <= a < n and 0 <= b < n):
             raise ValueError(f"pair ({a}, {b}) out of range")
-        queue.append((a, b))
-    while queue:
-        a, b = queue.popleft()
-        if not uf.union(a, b):
-            continue
-        if trans.shape[0]:
-            ta = trans[:, a]
-            tb = trans[:, b]
-            mask = ta != tb
-            if mask.any():
-                queue.extend(zip(ta[mask].tolist(), tb[mask].tolist()))
-    return Partition.from_labels(n, [uf.find(x) for x in range(n)])
+        seeds.append(((a, a), (b, b)))
+    _, roots = _generate_congruence(algebra, None, seeds)
+    return Partition.from_labels(n, roots.tolist())
 
 
 def principal_congruence(algebra: FiniteAlgebra, a: int, b: int) -> Partition:

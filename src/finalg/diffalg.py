@@ -26,6 +26,7 @@ from .core import (
 )
 from .congruences import (
     Partition,
+    check_interval_modular_permuting,
     congruence_lattice,
     push_partition,
     structure_report,
@@ -590,8 +591,6 @@ def verify_diffalg_theorems(da: DifferenceAlgebra) -> Report:
             witness=None if ok and cent == alpha_bar else (delta, alpha_bar, cent),
         )
     )
-
-    from .congruences import check_interval_modular_permuting
 
     lat = congruence_lattice(P)
     ab = is_abelian(P, theta_bar)

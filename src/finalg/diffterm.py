@@ -12,6 +12,7 @@ abelian group.
 from __future__ import annotations
 
 import itertools
+import random
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -528,8 +529,6 @@ def check_wdt_laws(
     - class-size-prime-power: for an abelian minimal congruence, one prime p
       has every class group of exponent p, hence class sizes p^k.
     """
-    import random
-
     if not certificate.verdict:
         raise ValueError("need a valid certificate")
     rng = random.Random(seed)

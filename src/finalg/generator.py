@@ -21,7 +21,9 @@ from typing import Sequence
 from .core import CapExceededError, FiniteAlgebra, closure_in_power
 from .congruences import Partition, congruence_lattice, structure_report
 from .centrality import centralizer
+from .diffalg import difference_algebra, range_of_class
 from .diffterm import verify_wdt
+from .similarity import division_ring
 from .report import CheckItem, Report
 
 DEFAULT_OPERATION_CAP = 256
@@ -700,9 +702,6 @@ def verify_claims(gen: GeneratedAlgebra) -> Report:
     closed difference form; the difference algebra is carried by the
     distinguished spaces with ranges the chosen subspaces; and the division
     ring is the configured field."""
-    from .diffalg import difference_algebra, range_of_class
-    from .similarity import division_ring
-
     a = gen.algebra
     n = a.size
     field = gen.config.field

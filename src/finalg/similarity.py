@@ -20,8 +20,10 @@ import itertools
 from dataclasses import dataclass
 
 from .core import (
+    CapExceededError,
     ElementMap,
     FiniteAlgebra,
+    closure_in_power,
     find_isomorphism,
     generate_subuniverse,
     is_homomorphism,
@@ -30,6 +32,7 @@ from .core import (
 from .congruences import (
     Partition,
     congruence_lattice,
+    is_congruence,
     push_partition,
     structure_report,
 )
@@ -60,8 +63,6 @@ def _endomorphisms_fixing(algebra: FiniteAlgebra, phi: Partition, tset: frozense
     class element per element, backtracking with incremental checks of every
     operation instance whose arguments are already assigned.
     """
-    from .core import CapExceededError
-
     space = 1
     for blk in phi.blocks:
         space *= len(blk) ** max(0, len(blk) - 1)
@@ -395,8 +396,6 @@ def _restricted_polynomials(algebra: FiniteAlgebra, cls: tuple[int, ...]):
     """All restrictions of unary polynomials to one theta-class, as tuples of
     images indexed by class position (the restriction closure equals the
     closure of the restricted seeds)."""
-    from .core import closure_in_power
-
     n = algebra.size
     seeds = [tuple(cls)] + [(c,) * len(cls) for c in range(n)]
     members, _ = closure_in_power(algebra, len(cls), seeds, cap_name="pol1 restriction")
@@ -754,7 +753,7 @@ def bridge_verify(a: FiniteAlgebra, b: FiniteAlgebra, tuples) -> Report:
     compatible = (
         tau is not None
         and set(tau.pairs()) == kernel_pairs
-        and _is_congruence_of(trace_alg, tau)
+        and is_congruence(trace_alg, tau)
     )
     items.append(
         CheckItem(
@@ -832,12 +831,6 @@ def bridge_verify(a: FiniteAlgebra, b: FiniteAlgebra, tuples) -> Report:
             )
         )
     return Report("similarity bridge", tuple(items))
-
-
-def _is_congruence_of(algebra: FiniteAlgebra, part: Partition) -> bool:
-    from .congruences import is_congruence
-
-    return is_congruence(algebra, part)
 
 
 def bridge_construct(

@@ -7,7 +7,10 @@ code with the library's incremental engines.  The one exception to
 "naive" is `reference_closure`, the former closure engine, kept verbatim as
 the reference that `closure_in_power` must match member for member and
 witness for witness; the matrix routes of the term condition
-(`matrix_centralizes`) run on it.
+(`matrix_centralizes`) run on it.  `reference_generated` is the per-pair
+congruence worklist the library used before its one congruence kernel,
+rebuilt from operation tables, and `reference_pair_algebra` materializes a
+pair algebra for it.
 """
 
 from __future__ import annotations
@@ -375,3 +378,59 @@ def matrix_delta_classes(algebra: FiniteAlgebra, theta: Partition, phi: Partitio
     for a1, a2, a3, a4 in reference_matrices(algebra, theta, phi):
         parent[find((a1, a2))] = find((a3, a4))
     return {p: find(p) for p in parent}
+
+
+def reference_generated(n: int, ops, pairs) -> tuple[tuple[int, ...], ...]:
+    """The least congruence containing `pairs` of the algebra on {0..n-1}
+    whose operations are the (arity, flat table) pairs in `ops`, as sorted
+    blocks.  The per-pair worklist: each pair that merges two classes is
+    pushed through every unary basic translation, built from the tables
+    slot by slot.  A nullary operation has no translations."""
+    translations = set()
+    for k, table in ops:
+        for slot in range(k):
+            for params in itertools.product(range(n), repeat=k - 1):
+                row = []
+                for x in range(n):
+                    idx = 0
+                    for a in params[:slot] + (x,) + params[slot:]:
+                        idx = idx * n + a
+                    row.append(table[idx])
+                translations.add(tuple(row))
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    queue = list(pairs)
+    while queue:
+        a, b = queue.pop()
+        ra, rb = find(a), find(b)
+        if ra == rb:
+            continue
+        parent[max(ra, rb)] = min(ra, rb)
+        queue.extend((t[a], t[b]) for t in translations if t[a] != t[b])
+    blocks: dict[int, list[int]] = {}
+    for x in range(n):
+        blocks.setdefault(find(x), []).append(x)
+    return tuple(sorted(tuple(b) for b in blocks.values()))
+
+
+def reference_pair_algebra(n: int, ops, blocks) -> tuple[list[tuple[int, int]], list]:
+    """The pair algebra of the partition `blocks`, materialized: its universe
+    (the related pairs, in lexicographic order) and its operations as
+    (arity, flat table) pairs over pair indices, applied coordinatewise."""
+    pairs = sorted((a, b) for blk in blocks for a in blk for b in blk)
+    index = {p: i for i, p in enumerate(pairs)}
+    out = []
+    for k, table in ops:
+        cells = []
+        for args in itertools.product(pairs, repeat=k):
+            i0 = i1 = 0
+            for a, b in args:
+                i0, i1 = i0 * n + a, i1 * n + b
+            cells.append(index[(table[i0], table[i1])])
+        out.append((k, cells))
+    return pairs, out

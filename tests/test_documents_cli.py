@@ -9,6 +9,8 @@ from finalg import (
     serialize_algebra,
     serialize_report,
 )
+from finalg import cli
+from finalg.centrality import InconsistencyError
 from finalg.documents import DocumentError, parse_partition_argument
 from finalg.generator import config_to_dict
 from finalg.report import CheckItem, Report
@@ -209,3 +211,18 @@ def test_cli_usage_error():
     assert code == 2
     code, _ = run_command(["con"])  # missing --in
     assert code == 2
+
+
+def test_cli_internal_error_exit_code(tmp_path, z4, monkeypatch):
+    """An InconsistencyError from a stage is an internal error: exit 3, with
+    an `internal-error:` line, distinct from the usage and input errors."""
+
+    def broken(*args, **kwargs):
+        raise InconsistencyError("centralizer sweep produced a non-centralizing join")
+
+    monkeypatch.setattr(cli, "centralizer", broken)
+    z4_path = tmp_path / "z4.alg"
+    z4_path.write_text(serialize_algebra(z4))
+    code, text = run_command(["centralizer", "--in", str(z4_path), "--delta", "zero", "--theta", "full"])
+    assert code == 3
+    assert text.splitlines()[-1] == "internal-error: centralizer sweep produced a non-centralizing join"

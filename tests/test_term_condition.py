@@ -1,13 +1,14 @@
 """The term condition's one route, the diagonal congruence Delta of the pair
 algebra, against both matrix routes on the reference closure and against
-brute force; for every arity, on both pair-congruence kernels."""
+brute force; for every arity, at the congruence kernel's default slice
+budget and at a budget of a few cells."""
 
 import itertools
 from unittest import mock
 
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from finalg import FiniteAlgebra, Partition, centrality, centralizes, congruence_lattice
+from finalg import FiniteAlgebra, Partition, centralizes, congruence_lattice, core
 
 from oracles import brute_centralizes, matrix_centralizes, matrix_delta_classes
 
@@ -56,12 +57,12 @@ def _affine6():
 
 
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(case=algebras(), picks=st.tuples(*[st.integers(0, 10**6)] * 3), fallback=st.booleans())
-@example(case=_affine6(), picks=(0, 1, 2), fallback=False)
-@example(case=_affine6(), picks=(0, 1, 2), fallback=True)
-@example(case=_quaternary(3, lambda x, y, z, w: x - y + z + w), picks=(1, 1, 0), fallback=True)
-@example(case=_quaternary(2, lambda x, y, z, w: x * y + z * w), picks=(1, 1, 0), fallback=True)
-def test_centralizes_matches_matrix_routes(case, picks, fallback):
+@given(case=algebras(), picks=st.tuples(*[st.integers(0, 10**6)] * 3), sliced=st.booleans())
+@example(case=_affine6(), picks=(0, 1, 2), sliced=False)
+@example(case=_affine6(), picks=(0, 1, 2), sliced=True)
+@example(case=_quaternary(3, lambda x, y, z, w: x - y + z + w), picks=(1, 1, 0), sliced=True)
+@example(case=_quaternary(2, lambda x, y, z, w: x * y + z * w), picks=(1, 1, 0), sliced=True)
+def test_centralizes_matches_matrix_routes(case, picks, sliced):
     n, ops = case
     algebra = FiniteAlgebra(n, ops)
     con = congruence_lattice(algebra).elements
@@ -70,10 +71,11 @@ def test_centralizes_matches_matrix_routes(case, picks, fallback):
     # the drawn triple, and phi = theta = 1, whose ambient space n^4 is above
     # 700 at n = 6
     triples = [(phi, theta, delta), (one, one, delta)]
-    # fallback: the kernel that pushes each merged pair through the basic
-    # operations, in place of the one built on translation tables
-    cost = -1 if fallback else centrality._PAIR_TRANSLATION_COST
-    with mock.patch.object(centrality, "_PAIR_TRANSLATION_COST", cost):
+    # sliced: a budget of a few cells, so that the congruence kernel slices
+    # every gather and every enumeration of the pair translations; the
+    # lattice above is built first, at the default budget
+    budget = 16 if sliced else core._CHUNK_CELLS
+    with mock.patch.object(core, "_CHUNK_CELLS", budget):
         verdicts = [centralizes(algebra, *triple) for triple in triples]
     max_arity = max(k for _, k, _ in ops)
     for (phi, theta, delta), verdict in zip(triples, verdicts):
