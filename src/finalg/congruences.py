@@ -2,7 +2,9 @@
 
 Partitions are stored normalized (blocks sorted by least element, elements
 sorted inside each block) so they are hashable and can be compared in the
-refinement order.
+refinement order.  Their `index` is the restricted-growth label tuple of the
+blocks; joins, meets and generated congruences build partitions straight
+from such labels, and only the public constructor validates blocks.
 
 Congruences are generated by one kernel, `_generate_congruence`: Freese's
 worklist (R. Freese, Computing congruences efficiently, Algebra Universalis
@@ -15,6 +17,10 @@ translations as pairs of row ids once per theta; no table of the pair
 algebra is built.  `congruence_generated` is the case theta = 0, whose pair
 algebra, the diagonal, is a copy of the algebra; the pair algebras of the
 term condition (`centrality.generated_pair_congruence`) are the others.
+
+Con(A) is the closure of 0 and the principal congruences under joining with
+a principal congruence.  Its order matrix, join and meet tables and cover
+relation are built in numpy only when first read.
 """
 
 from __future__ import annotations
@@ -91,12 +97,31 @@ class Partition:
     # -- constructors --------------------------------------------------
 
     @classmethod
+    def _from_index(cls, n: int, rgs: tuple[int, ...]) -> "Partition":
+        """Trusted constructor from a restricted-growth label tuple (label 0
+        first, each new label one more than the largest before it), which is
+        the `index` of the result: the blocks fall out in normal form in one
+        pass, with no sort and no validation."""
+        blocks: list[list[int]] = []
+        for x, lab in enumerate(rgs):
+            if lab == len(blocks):
+                blocks.append([x])
+            else:
+                blocks[lab].append(x)
+        self = cls.__new__(cls)
+        self.size = n
+        self.blocks = tuple(map(tuple, blocks))
+        self.index = rgs
+        self._hash = hash((n, self.blocks))
+        return self
+
+    @classmethod
     def zero(cls, n: int) -> "Partition":
-        return cls(n, [[x] for x in range(n)])
+        return cls._from_index(n, tuple(range(n)))
 
     @classmethod
     def one(cls, n: int) -> "Partition":
-        return cls(n, [range(n)])
+        return cls._from_index(n, (0,) * n)
 
     @classmethod
     def from_pairs(cls, n: int, pairs: Iterable[tuple[int, int]]) -> "Partition":
@@ -106,11 +131,13 @@ class Partition:
         return cls.from_labels(n, [uf.find(x) for x in range(n)])
 
     @classmethod
-    def from_labels(cls, n: int, labels: Sequence[int]) -> "Partition":
-        groups: dict[int, list[int]] = {}
-        for x, lab in enumerate(labels):
-            groups.setdefault(lab, []).append(x)
-        return cls(n, groups.values())
+    def from_labels(cls, n: int, labels: Sequence) -> "Partition":
+        """The partition whose blocks are the elements with equal labels;
+        labels are any hashable values, one per element."""
+        if len(labels) != n:
+            raise ValueError(f"{len(labels)} labels for {n} elements")
+        relabel: dict = {}
+        return cls._from_index(n, tuple(relabel.setdefault(lab, len(relabel)) for lab in labels))
 
     # -- relation view ---------------------------------------------------
 
@@ -141,19 +168,19 @@ class Partition:
     def join(self, other: "Partition") -> "Partition":
         if self.size != other.size:
             raise ValueError("size mismatch")
-        uf = UnionFind(self.size)
-        for blk in itertools.chain(self.blocks, other.blocks):
-            first = blk[0]
+        # merge the blocks of self, by their labels, along the blocks of other
+        index = self.index
+        uf = UnionFind(len(self.blocks))
+        for blk in other.blocks:
+            first = index[blk[0]]
             for x in blk[1:]:
-                uf.union(first, x)
-        return Partition.from_labels(self.size, [uf.find(x) for x in range(self.size)])
+                uf.union(first, index[x])
+        return Partition.from_labels(self.size, [uf.find(lab) for lab in index])
 
     def meet(self, other: "Partition") -> "Partition":
         if self.size != other.size:
             raise ValueError("size mismatch")
-        labels = [(self.index[x], other.index[x]) for x in range(self.size)]
-        lut = {lab: i for i, lab in enumerate(dict.fromkeys(labels))}
-        return Partition.from_labels(self.size, [lut[lab] for lab in labels])
+        return Partition.from_labels(self.size, list(zip(self.index, other.index)))
 
     def __or__(self, other):
         return self.join(other)
@@ -405,31 +432,85 @@ class CoverPair:
 
 
 class CongruenceLattice:
-    """Con(A): all congruences with join/meet tables and the cover relation."""
+    """Con(A): all congruences, sorted by (rank, blocks), so that every
+    element comes after all the elements strictly below it.
 
-    __slots__ = ("algebra", "elements", "_pos", "leq_matrix", "join_table", "meet_table", "covers")
+    The order matrix, the join and meet tables (lists of lists of element
+    positions) and the cover relation (a frozenset of position pairs) are
+    built in numpy on first use and then kept.
+    """
+
+    __slots__ = ("algebra", "elements", "_pos", "_leq", "_leq_rows", "_join", "_meet", "_covers")
 
     def __init__(self, algebra: FiniteAlgebra, elements: Sequence[Partition]):
         self.algebra = algebra
         self.elements = tuple(sorted(elements, key=lambda p: (p.rank, p.blocks)))
         self._pos = {p: i for i, p in enumerate(self.elements)}
+        self._leq = self._leq_rows = self._join = self._meet = self._covers = None
+
+    def _leq_array(self) -> np.ndarray:
+        """leq[p, q] iff p <= q: the meet code idx[p] * n + idx[q] takes as
+        many values as p has blocks exactly when each block of p lies in one
+        block of q.  Sliced by rows of p within `core._CHUNK_CELLS`."""
+        if self._leq is None:
+            m, n = len(self.elements), self.algebra.size
+            idx = np.array([p.index for p in self.elements], dtype=np.int64)
+            nblocks = np.array([len(p.blocks) for p in self.elements], dtype=np.int64)
+            leq = np.empty((m, m), dtype=bool)
+            step = max(1, core._CHUNK_CELLS // max(1, 2 * m * n))
+            for lo in range(0, m, step):
+                codes = np.sort(idx[lo : lo + step, None, :] * n + idx[None, :, :], axis=-1)
+                distinct = 1 + (codes[..., 1:] != codes[..., :-1]).sum(axis=-1)
+                leq[lo : lo + step] = distinct == nblocks[lo : lo + step, None]
+            self._leq = leq
+        return self._leq
+
+    def _bound_table(self, leq: np.ndarray, pick) -> list[list[int]]:
+        """For each (i, j) the position that `pick` chooses among the k with
+        leq[i, k] and leq[j, k], sliced by rows within `core._CHUNK_CELLS`."""
         m = len(self.elements)
-        leq = [[self.elements[i].leq(self.elements[j]) for j in range(m)] for i in range(m)]
-        self.leq_matrix = leq
-        self.join_table = [
-            [self._pos[self.elements[i].join(self.elements[j])] for j in range(m)] for i in range(m)
-        ]
-        self.meet_table = [
-            [self._pos[self.elements[i].meet(self.elements[j])] for j in range(m)] for i in range(m)
-        ]
-        covers = set()
-        for i in range(m):
-            for j in range(m):
-                if i == j or not leq[i][j]:
-                    continue
-                if not any(k != i and k != j and leq[i][k] and leq[k][j] for k in range(m)):
-                    covers.add((i, j))
-        self.covers = frozenset(covers)
+        out = np.empty((m, m), dtype=np.int64)
+        step = max(1, core._CHUNK_CELLS // max(1, m * m))
+        for lo in range(0, m, step):
+            out[lo : lo + step] = pick(leq[lo : lo + step, None, :] & leq[None, :, :])
+        return out.tolist()
+
+    @property
+    def leq_matrix(self) -> list[list[bool]]:
+        if self._leq_rows is None:
+            self._leq_rows = self._leq_array().tolist()
+        return self._leq_rows
+
+    @property
+    def join_table(self) -> list[list[int]]:
+        # the join is the upper bound of least rank, i.e. the first one
+        if self._join is None:
+            self._join = self._bound_table(self._leq_array(), lambda up: up.argmax(axis=-1))
+        return self._join
+
+    @property
+    def meet_table(self) -> list[list[int]]:
+        # the meet is the lower bound of greatest rank, i.e. the last one
+        if self._meet is None:
+            last = len(self.elements) - 1
+            self._meet = self._bound_table(
+                self._leq_array().T, lambda down: last - down[..., ::-1].argmax(axis=-1)
+            )
+        return self._meet
+
+    @property
+    def covers(self) -> frozenset[tuple[int, int]]:
+        """The pairs (i, j) with element i strictly below element j and
+        nothing strictly between: the transitive reduction of the order."""
+        if self._covers is None:
+            strict = self._leq_array().copy()
+            np.fill_diagonal(strict, False)
+            f = strict.astype(np.float32)
+            # float32 counts are safe here: a sum of 0/1 products is 0 only
+            # when every product is
+            lo, hi = np.nonzero(strict & ((f @ f) == 0))
+            self._covers = frozenset(zip(lo.tolist(), hi.tolist()))
+        return self._covers
 
     def __len__(self):
         return len(self.elements)
@@ -470,17 +551,22 @@ class CongruenceLattice:
 def congruence_lattice(
     algebra: FiniteAlgebra, *, cap: int = DEFAULT_LATTICE_CAP
 ) -> CongruenceLattice:
-    """Con(A): close the principal congruences under binary join."""
+    """Con(A): 0 and the principal congruences, closed under joining with a
+    principal congruence.  Every congruence is the join of the principal
+    congruences of its pairs, so this reaches all of Con(A) with
+    O(|Con(A)| * |principals|) joins.  Raises `CapExceededError` when
+    |Con(A)| > cap."""
     cached = algebra._cache.get("con")
     if cached is not None:
         return cached
-    zero = Partition.zero(algebra.size)
-    elements: set[Partition] = {zero}
-    elements.update(_distinct_principal_congruences(algebra))
+    principals = _distinct_principal_congruences(algebra)
+    elements: set[Partition] = {Partition.zero(algebra.size), *principals}
+    if len(elements) > cap:
+        raise CapExceededError("congruence lattice", cap)
     worklist = deque(elements)
     while worklist:
         p = worklist.popleft()
-        for q in list(elements):
+        for q in principals:
             j = p.join(q)
             if j not in elements:
                 elements.add(j)
@@ -510,8 +596,9 @@ def structure_report(lattice: CongruenceLattice) -> StructureReport:
     """Covers, (completely) meet-irreducible elements, monolith, SI verdict.
 
     In a finite lattice an element is completely meet-irreducible iff it has a
-    unique upper cover below everything strictly above it; both notions are
-    computed independently as a cross-check.
+    unique upper cover below everything strictly above it, and the two notions
+    coincide.  Both are computed independently here (one from the meet table,
+    one from the covers), and the tests check that they agree.
     """
     elements = lattice.elements
     m = len(elements)

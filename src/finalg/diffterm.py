@@ -18,6 +18,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
+from . import core
 from .core import (
     CapExceededError,
     FiniteAlgebra,
@@ -161,6 +162,11 @@ def certificate_from_operation(
     return verify_wdt(algebra, op.table, scope=scope, provenance=f"basic operation '{op_name}'")
 
 
+def _row_hashes(rows: np.ndarray, salt: np.ndarray) -> np.ndarray:
+    """One int64 hash per row: its dot product with an odd salt, wrapping."""
+    return rows @ salt
+
+
 def search_wdt(
     algebra: FiniteAlgebra, *, cap: int = DEFAULT_WDT_SEARCH_CAP
 ) -> WdtCertificate | None:
@@ -171,9 +177,32 @@ def search_wdt(
     within each level, and the first passing table is returned with a
     term-derived certificate.  Returns None when the whole clone (within the
     cap) fails.
+
+    Each batch of candidate tables is deduplicated by a 64-bit row hash
+    (`_row_hashes`) and an exact check that every row equals the first row
+    of its hash group; a batch where two different rows collide is
+    deduplicated by sorting instead.  Neither cap depends on the order in
+    which distinct rows are met, so the hash changes no result.
     """
     n = algebra.size
     w = n**3
+    salt = np.random.default_rng(0).integers(-(2**63), 2**63 - 1, size=w, dtype=np.int64) | 1
+    # a slice of the exact check holds two gathered copies of its rows
+    step = max(1, core._CHUNK_CELLS // (2 * w))
+
+    def distinct(batch: np.ndarray) -> np.ndarray:
+        hashes = _row_hashes(batch, salt)
+        order = np.argsort(hashes, kind="stable")
+        sorted_hashes = hashes[order]
+        first = np.ones(len(order), dtype=bool)
+        np.not_equal(sorted_hashes[1:], sorted_hashes[:-1], out=first[1:])
+        leads = order[first]
+        lead_of = leads[np.cumsum(first) - 1]
+        for lo in range(0, len(order), step):
+            if not np.array_equal(batch[order[lo : lo + step]], batch[lead_of[lo : lo + step]]):
+                return np.unique(batch, axis=0)
+        return batch[leads]
+
     idx = np.arange(w, dtype=np.int64)
     projections = np.stack([idx // (n * n), (idx // n) % n, idx % n]).astype(np.int64)
 
@@ -217,7 +246,7 @@ def search_wdt(
             work += batch.size
             if work > work_budget:
                 raise CapExceededError("ternary clone work", work_budget)
-            for row in np.unique(batch, axis=0):
+            for row in distinct(batch):
                 key = row.tobytes()
                 if key in known:
                     continue

@@ -10,12 +10,15 @@ witness for witness; the matrix routes of the term condition
 (`matrix_centralizes`) run on it.  `reference_generated` is the per-pair
 congruence worklist the library used before its one congruence kernel,
 rebuilt from operation tables, and `reference_pair_algebra` materializes a
-pair algebra for it.
+pair algebra for it.  `reference_lattice` is the eager construction of
+Con(A) the library used before its tables became lazy, on restricted-growth
+label tuples of its own.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -434,3 +437,78 @@ def reference_pair_algebra(n: int, ops, blocks) -> tuple[list[tuple[int, int]], 
             cells.append(index[(table[i0], table[i1])])
         out.append((k, cells))
     return pairs, out
+
+
+def _rgs(labels) -> tuple[int, ...]:
+    """Relabel to a restricted-growth string: labels by first occurrence."""
+    relabel: dict = {}
+    return tuple(relabel.setdefault(lab, len(relabel)) for lab in labels)
+
+
+def reference_lattice(n: int, ops):
+    """Con(A) of the algebra on {0..n-1} with operations `ops` ((arity, flat
+    table) pairs), built eagerly: the principal congruences from
+    `reference_generated`, closed under all pairwise joins, then the full
+    order matrix, join and meet tables and the cubic cover loop.
+
+    Partitions are restricted-growth label tuples with their own leq, join
+    and meet.  Returns (elements, leq, join, meet, covers), the elements
+    sorted by (rank, blocks) and everything else by position among them.
+    """
+
+    def blocks(p):
+        out: list[list[int]] = []
+        for x, lab in enumerate(p):
+            if lab == len(out):
+                out.append([])
+            out[lab].append(x)
+        return tuple(tuple(b) for b in out)
+
+    def leq(p, q):
+        return all(q[x] == q[y] for x in range(n) for y in range(x) if p[x] == p[y])
+
+    def join(p, q):
+        lab = list(range(n))
+        changed = True
+        while changed:
+            changed = False
+            for x in range(n):
+                for y in range(n):
+                    if (p[x] == p[y] or q[x] == q[y]) and lab[x] != lab[y]:
+                        lab[x] = lab[y] = min(lab[x], lab[y])
+                        changed = True
+        return _rgs(lab)
+
+    def meet(p, q):
+        return _rgs(zip(p, q))
+
+    found = {tuple(range(n))}
+    for a in range(n):
+        for b in range(a + 1, n):
+            label = [0] * n
+            for i, blk in enumerate(reference_generated(n, ops, [(a, b)])):
+                for x in blk:
+                    label[x] = i
+            found.add(_rgs(label))
+    worklist = deque(found)
+    while worklist:
+        p = worklist.popleft()
+        for q in list(found):
+            j = join(p, q)
+            if j not in found:
+                found.add(j)
+                worklist.append(j)
+    elements = sorted(found, key=lambda p: (n - len(set(p)), blocks(p)))
+    pos = {p: i for i, p in enumerate(elements)}
+    m = len(elements)
+    leq_matrix = [[leq(elements[i], elements[j]) for j in range(m)] for i in range(m)]
+    join_table = [[pos[join(elements[i], elements[j])] for j in range(m)] for i in range(m)]
+    meet_table = [[pos[meet(elements[i], elements[j])] for j in range(m)] for i in range(m)]
+    covers = set()
+    for i in range(m):
+        for j in range(m):
+            if i == j or not leq_matrix[i][j]:
+                continue
+            if not any(k != i and k != j and leq_matrix[i][k] and leq_matrix[k][j] for k in range(m)):
+                covers.add((i, j))
+    return elements, leq_matrix, join_table, meet_table, frozenset(covers)

@@ -1,5 +1,8 @@
+import importlib.util
 import itertools
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from finalg import (
@@ -201,3 +204,33 @@ def test_wdt_laws_trivial():
     cert = verify_wdt(trivial, [0])
     rep = check_wdt_laws(trivial, cert)
     assert rep.passed
+
+
+def _random_algebras(seed, count):
+    """The seeded random algebras of the benchmark's random-sweep workload."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("sweep_inputs", path)
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    return inputs.random_algebras(seed, count)
+
+
+def _search_outcome(algebra, cap):
+    try:
+        cert = search_wdt(algebra, cap=cap)
+    except CapExceededError as exc:
+        return ("cap", str(exc))
+    return None if cert is None else (cert.d, cert.verdict, cert.checked)
+
+
+def test_search_wdt_survives_hash_collisions(monkeypatch, z2, z4, s2, two_sq, gen1, gen2, gen3):
+    """With every row hash 0, each batch of two or more distinct rows is one
+    colliding group, so the exact check fails and the sort fallback runs; the
+    certificates and cap errors must not change."""
+    algebras = [FiniteAlgebra(n, ops) for n, ops in _random_algebras(11, 216)]
+    algebras += [z2, z4, s2, two_sq, gen1.algebra, gen2.algebra, gen3.algebra]
+    expected = [_search_outcome(algebra, 600) for algebra in algebras]
+    monkeypatch.setattr(
+        diffterm, "_row_hashes", lambda rows, salt: np.zeros(len(rows), dtype=np.int64)
+    )
+    assert [_search_outcome(algebra, 600) for algebra in algebras] == expected
