@@ -12,6 +12,7 @@ error: a computed object that lacks a property the theory guarantees
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -58,7 +59,9 @@ from .documents import (
 from .report import CheckItem, Report
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     top = argparse.ArgumentParser(prog="finalg", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
 

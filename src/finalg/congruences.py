@@ -33,7 +33,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import core
-from .core import CapExceededError, FiniteAlgebra
+from .core import CapExceededError, FiniteAlgebra, is_homomorphism, quotient
 
 DEFAULT_LATTICE_CAP = 10**5
 
@@ -558,6 +558,8 @@ def congruence_lattice(
     |Con(A)| > cap."""
     cached = algebra._cache.get("con")
     if cached is not None:
+        if len(cached.elements) > cap:
+            raise CapExceededError("congruence lattice", cap)
         return cached
     principals = _distinct_principal_congruences(algebra)
     elements: set[Partition] = {Partition.zero(algebra.size), *principals}
@@ -739,27 +741,7 @@ def restriction_to(theta: Partition, subset: Sequence[int]) -> Partition:
 
 
 def is_congruence(algebra: FiniteAlgebra, theta: Partition) -> bool:
-    """Exhaustive compatibility check of a partition with every operation."""
-    n = algebra.size
-    labels = np.asarray(theta.index, dtype=np.int64)
-    for op in algebra.operations:
-        k = op.arity
-        tab = op.array()
-        full = np.indices((n,) * k).reshape(k, -1)
-        fidx = np.zeros(full.shape[1], dtype=np.int64)
-        for j in range(k):
-            fidx = fidx * n + full[j]
-        res = labels[tab[fidx]]
-        # group argument tuples by their label pattern; results must agree
-        key = np.zeros(full.shape[1], dtype=np.int64)
-        nb = len(theta.blocks)
-        for j in range(k):
-            key = key * nb + labels[full[j]]
-        order = np.argsort(key, kind="stable")
-        ks, rs = key[order], res[order]
-        starts = np.ones(len(ks), dtype=bool)
-        starts[1:] = ks[1:] != ks[:-1]
-        group_first = np.maximum.accumulate(np.where(starts, np.arange(len(ks)), 0))
-        if not np.array_equal(rs, rs[group_first]):
-            return False
-    return True
+    """Exhaustive compatibility check of a partition with every operation:
+    the projection onto the quotient is a homomorphism."""
+    q = quotient(algebra, theta, check=False)
+    return is_homomorphism(algebra, q.algebra, q.projection)

@@ -3,8 +3,13 @@
 An algebra lives on the universe {0, .., n-1}.  Each operation is a finitary
 map given by a flat row-major table (index of (a_1, .., a_k) is the base-n
 number a_1 a_2 .. a_k).  Everything in this package consumes this one
-representation; derived algebras (powers, subalgebras-as-universes, quotients)
-are materialized back into the same form.
+representation.  Derived algebras are materialized back into the same form
+by one row-major grid gather, `_apply_combos`: `_materialize` builds every
+subalgebra of a product on its row indices (products, powers, pair
+algebras, traces) from the results that `_restricted_results` places, which
+also checks a relation for closure without building it; `quotient` gathers
+over block representatives, and `is_homomorphism` checks a map with the
+same gather.
 
 Operation tables, element maps and the other values here are immutable after
 construction.  Each `FiniteAlgebra` also carries a private memo, `_cache`, a
@@ -248,8 +253,9 @@ def _apply_combos(tab: np.ndarray, n: int, parts: list[np.ndarray], width: int) 
 
     Each part is an (m_i, width) array; results are yielded as (m, width)
     chunks in row-major grid order, for every arity.  Grids larger than the
-    chunk budget are split along axis 0.  Used by the row-mode clone search
-    in `diffterm`.
+    chunk budget are split along axis 0.  The one table gather: used by
+    `_restricted_results` (and so `_materialize`), `quotient`,
+    `is_homomorphism` and the row-mode clone search in `diffterm`.
     """
     k = len(parts)
     sizes = [p.shape[0] for p in parts]
@@ -264,6 +270,66 @@ def _apply_combos(tab: np.ndarray, n: int, parts: list[np.ndarray], width: int) 
         for i in range(1, k):
             idx = idx * n + parts[i].reshape((1,) * i + (-1,) + (1,) * (k - 1 - i) + (width,))
         yield tab[idx.reshape(-1, width)]
+
+
+def _restricted_results(factors: Sequence[FiniteAlgebra], rows):
+    """The results of every operation over the row-major grid of `rows`, as
+    row indices, one slice at a time.
+
+    `rows` are the sorted, distinct rows of a subset S of A_1 x .. x A_w,
+    where the factors share one signature.  Yields (operation index, row
+    indices, None) per slice while the results stay in S.  At the first
+    result outside S, in operation order and then in row-major grid order,
+    yields (operation index, None, (op name, argument rows, result row)) and
+    stops.  A slice fixes a range of the first argument within the chunk
+    budget; each distinct factor gathers it once on its own columns, and
+    the results are placed by `searchsorted` on mixed-radix row codes.
+    """
+    sizes = [f.size for f in factors]
+    rows = np.asarray(rows, dtype=np.int64).reshape(-1, len(factors))
+    place = np.cumprod((sizes[1:] + [1])[::-1], dtype=np.int64)[::-1]
+    codes = rows @ place
+    columns: dict[FiniteAlgebra, list[int]] = {}
+    for j, factor in enumerate(factors):
+        columns.setdefault(factor, []).append(j)
+    m = rows.shape[0]
+    for i, op in enumerate(factors[0].operations):
+        k = op.arity
+        step = max(1, _CHUNK_CELLS // max(1, m ** (k - 1) * len(factors)))
+        for lo in range(0, m, step):
+            code = 0
+            for factor, cols in columns.items():
+                parts = [rows[lo : lo + step, cols]] + [rows[:, cols]] * (k - 1)
+                gather = _apply_combos(factor.operations[i].array(), factor.size, parts, len(cols))
+                code = code + np.concatenate(list(gather)) @ place[cols]
+            pos = np.searchsorted(codes, code)
+            miss = codes.take(pos, mode="clip") != code
+            if miss.any():
+                at = int(np.argmax(miss))
+                args = np.unravel_index(lo * m ** (k - 1) + at, (m,) * k)
+                result = tuple(int(code[at]) // p % s for p, s in zip(place.tolist(), sizes))
+                yield i, None, (op.name, tuple(tuple(rows[r].tolist()) for r in args), result)
+                return
+            yield i, pos, None
+
+
+def _materialize(
+    factors: Sequence[FiniteAlgebra], rows
+) -> tuple[FiniteAlgebra | None, tuple | None]:
+    """The subset S of A_1 x .. x A_w given by its sorted, distinct rows,
+    as an algebra on row indices, or the first operation result outside S.
+
+    Returns (algebra, None) when S is closed under every operation acting
+    coordinatewise, and otherwise (None, (op name, argument rows, result
+    row)), as `_restricted_results` finds it.
+    """
+    tables: list[list[int]] = [[] for _ in factors[0].operations]
+    for i, pos, witness in _restricted_results(factors, rows):
+        if witness is not None:
+            return None, witness
+        tables[i] += pos.tolist()
+    ops = [(op.name, op.arity, t) for op, t in zip(factors[0].operations, tables)]
+    return FiniteAlgebra(len(rows), ops), None
 
 
 def _pack(rows: np.ndarray, n: int) -> np.ndarray:
@@ -581,33 +647,16 @@ def product(a: FiniteAlgebra, b: FiniteAlgebra) -> DirectProduct:
     """Direct product of two same-signature algebras, coordinatewise tables."""
     if not a.same_signature(b):
         raise SignatureMismatchError(f"signatures differ: {a.signature()} vs {b.signature()}")
-    n = a.size * b.size
-    ops = []
-    for op_a, op_b in zip(a.operations, b.operations):
-        k = op_a.arity
-        ta, tb = op_a.array(), op_b.array()
-        # all argument tuples over the product, in row-major order
-        grids = np.indices((n,) * k).reshape(k, -1)
-        left = grids // b.size
-        right = grids % b.size
-        ia = np.zeros(left.shape[1], dtype=np.int64)
-        ib = np.zeros(right.shape[1], dtype=np.int64)
-        for j in range(k):
-            ia = ia * a.size + left[j]
-            ib = ib * b.size + right[j]
-        table = ta[ia] * b.size + tb[ib]
-        ops.append((op_a.name, k, table.tolist()))
-    return DirectProduct(FiniteAlgebra(n, ops), a.size, b.size)
+    rows = np.indices((a.size, b.size)).reshape(2, -1).T
+    return DirectProduct(_materialize([a, b], rows)[0], a.size, b.size)
 
 
-def power(a: FiniteAlgebra, k: int) -> DirectProduct | FiniteAlgebra:
-    """A^k via iterated `product` (row-major tuple encoding)."""
+def power(a: FiniteAlgebra, k: int) -> FiniteAlgebra:
+    """A^k, materialized on its tuples in row-major order."""
     if k < 1:
         raise ValueError("power expects k >= 1")
-    cur = a
-    for _ in range(k - 1):
-        cur = product(cur, a).algebra
-    return cur
+    rows = np.indices((a.size,) * k).reshape(k, -1).T
+    return _materialize([a] * k, rows)[0]
 
 
 class Quotient:
@@ -624,38 +673,27 @@ class Quotient:
 def quotient(algebra: FiniteAlgebra, theta, *, check: bool = True) -> Quotient:
     """Quotient algebra modulo a congruence `theta` (a Partition).
 
-    With check=True the partition is verified to be compatible with every
-    operation table; an incompatible partition raises ValueError.
+    The tables are one gather over the block representatives, followed by
+    the block labels.  With check=True the projection is verified to be a
+    homomorphism, i.e. the partition is compatible with every operation
+    table; an incompatible partition raises ValueError.
     """
     n = algebra.size
     if theta.size != n:
         raise ValueError("partition size mismatch")
     labels = np.asarray(theta.index, dtype=np.int64)
-    m = len(theta.blocks)
+    reps = tuple(blk[0] for blk in theta.blocks)
+    column = np.array(reps, dtype=np.int64)[:, None]
     ops = []
     for op in algebra.operations:
-        k = op.arity
-        tab = op.array()
-        grids = np.indices((m,) * k).reshape(k, -1)
-        reps = np.array([blk[0] for blk in theta.blocks], dtype=np.int64)
-        idx = np.zeros(grids.shape[1], dtype=np.int64)
-        for j in range(k):
-            idx = idx * n + reps[grids[j]]
-        table = labels[tab[idx]]
-        ops.append((op.name, k, table.tolist()))
-        if check:
-            # compatibility: result block must not depend on representatives
-            full = np.indices((n,) * k).reshape(k, -1)
-            fidx = np.zeros(full.shape[1], dtype=np.int64)
-            bidx = np.zeros(full.shape[1], dtype=np.int64)
-            for j in range(k):
-                fidx = fidx * n + full[j]
-                bidx = bidx * m + labels[full[j]]
-            if not np.array_equal(labels[tab[fidx]], np.asarray(table)[bidx]):
-                raise ValueError(f"partition is not a congruence (operation '{op.name}')")
-    proj = ElementMap(n, m, labels.tolist())
-    reps = tuple(blk[0] for blk in theta.blocks)
-    return Quotient(FiniteAlgebra(m, ops), proj, reps)
+        out = np.concatenate(list(_apply_combos(op.array(), n, [column] * op.arity, 1)))
+        ops.append((op.name, op.arity, labels[out.ravel()].tolist()))
+    q = Quotient(FiniteAlgebra(len(reps), ops), ElementMap(n, len(reps), labels.tolist()), reps)
+    if check:
+        failed = _unpreserved_operation(algebra, q.algebra, labels)
+        if failed is not None:
+            raise ValueError(f"partition is not a congruence (operation '{failed}')")
+    return q
 
 
 class UnaryPolynomialSet:
@@ -788,16 +826,25 @@ def find_isomorphism(a: FiniteAlgebra, b: FiniteAlgebra) -> ElementMap | None:
     return h
 
 
+def _unpreserved_operation(a: FiniteAlgebra, b: FiniteAlgebra, images: np.ndarray) -> str | None:
+    """Name of the first operation that the map `images` from a to b does
+    not preserve, or None: op_b over the grid of images, gathered once per
+    operation, against the images of op_a's table."""
+    column = images[:, None]
+    for op_a, op_b in zip(a.operations, b.operations):
+        lhs = images[op_a.array()]
+        lo = 0
+        for chunk in _apply_combos(op_b.array(), b.size, [column] * op_a.arity, 1):
+            if not np.array_equal(chunk.ravel(), lhs[lo : lo + chunk.shape[0]]):
+                return op_a.name
+            lo += chunk.shape[0]
+    return None
+
+
 def is_homomorphism(a: FiniteAlgebra, b: FiniteAlgebra, h: ElementMap) -> bool:
     """Exhaustively check h(op(x..)) == op(h(x)..) for all ops and tuples."""
     if not a.same_signature(b):
         return False
-    n = a.size
-    for op_a, op_b in zip(a.operations, b.operations):
-        k = op_a.arity
-        for args in itertools.product(range(n), repeat=k):
-            lhs = h(evaluate(a, op_a.name, args))
-            rhs = evaluate(b, op_b.name, tuple(h(x) for x in args))
-            if lhs != rhs:
-                return False
-    return True
+    if h.source_size != a.size or h.target_size != b.size:
+        raise ValueError("map sizes do not match the algebras")
+    return _unpreserved_operation(a, b, np.asarray(h.images, dtype=np.int64)) is None

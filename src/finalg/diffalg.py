@@ -15,11 +15,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-import numpy as np
-
 from .core import (
     ElementMap,
     FiniteAlgebra,
+    _materialize,
     generate_subuniverse,
     is_homomorphism,
     quotient,
@@ -53,33 +52,16 @@ class PairAlgebra:
         self.theta = theta
         self.pairs = tuple(sorted((a, b) for blk in theta.blocks for a in blk for b in blk))
         self.pos = {p: i for i, p in enumerate(self.pairs)}
-        m = len(self.pairs)
-        n = base.size
-        p0 = np.array([a for a, _ in self.pairs], dtype=np.int64)
-        p1 = np.array([b for _, b in self.pairs], dtype=np.int64)
-        ops = []
-        for op in base.operations:
-            k = op.arity
-            tab = op.array()
-            grids = np.indices((m,) * k).reshape(k, -1)
-            ia = np.zeros(grids.shape[1], dtype=np.int64)
-            ib = np.zeros(grids.shape[1], dtype=np.int64)
-            for j in range(k):
-                ia = ia * n + p0[grids[j]]
-                ib = ib * n + p1[grids[j]]
-            ra, rb = tab[ia], tab[ib]
-            pos_mat = -np.ones((n, n), dtype=np.int64)
-            for i, (a, b) in enumerate(self.pairs):
-                pos_mat[a, b] = i
-            table = pos_mat[ra, rb]
-            if (table < 0).any():
-                raise InconsistencyError("pair set not closed; theta is not a congruence")
-            ops.append((op.name, k, table.tolist()))
-        self.algebra = FiniteAlgebra(m, ops)
-        self.pr1 = ElementMap(m, n, p0.tolist())
-        self.pr2 = ElementMap(m, n, p1.tolist())
-        self.eta1 = Partition.from_labels(m, p0.tolist())
-        self.eta2 = Partition.from_labels(m, p1.tolist())
+        self.algebra, witness = _materialize([base, base], self.pairs)
+        if witness is not None:
+            raise InconsistencyError("pair set not closed; theta is not a congruence")
+        m, n = len(self.pairs), base.size
+        p0 = [a for a, _ in self.pairs]
+        p1 = [b for _, b in self.pairs]
+        self.pr1 = ElementMap(m, n, p0)
+        self.pr2 = ElementMap(m, n, p1)
+        self.eta1 = Partition.from_labels(m, p0)
+        self.eta2 = Partition.from_labels(m, p1)
 
     def lift(self, alpha: Partition) -> Partition:
         """alpha-bar: pairs related iff their first coordinates are; for
@@ -230,17 +212,6 @@ class DifferenceAlgebra:
         return class_group(self.algebra, self.certificate_d, self.phi, self.zero_of(a))
 
 
-def _push_table_through(labels, reps, table, n, m) -> list[int]:
-    """Push a ternary table through a surjection with a well-definedness check."""
-    out = [0] * (m**3)
-    for x, y, z in itertools.product(range(m), repeat=3):
-        out[(x * m + y) * m + z] = labels[table[(reps[x] * n + reps[y]) * n + reps[z]]]
-    for x, y, z in itertools.product(range(n), repeat=3):
-        if labels[table[(x * n + y) * n + z]] != out[(labels[x] * m + labels[y]) * m + labels[z]]:
-            raise InconsistencyError("ternary table does not factor through the quotient")
-    return out
-
-
 def difference_algebra(
     base: FiniteAlgebra, theta: Partition, certificate: WdtCertificate
 ) -> DifferenceAlgebra:
@@ -276,16 +247,15 @@ def difference_algebra(
     if len(tset) != len(alpha.blocks):
         raise InconsistencyError("canonical transversal elements collide")
 
-    # induced weak difference term on D
-    m = len(pair.pairs)
-    d_pair = [0] * (m**3)
-    for i, j, k in itertools.product(range(m), repeat=3):
-        a = certificate.apply(pair.pairs[i][0], pair.pairs[j][0], pair.pairs[k][0])
-        b = certificate.apply(pair.pairs[i][1], pair.pairs[j][1], pair.pairs[k][1])
-        d_pair[(i * m + j) * m + k] = pair.pos[(a, b)]
-    labels = [nu(i) for i in range(m)]
-    reps = list(q.block_representatives)
-    d_table = _push_table_through(labels, reps, d_pair, m, D.size)
+    # induced weak difference term on D: d on the pair set, pushed through nu
+    d_alg = FiniteAlgebra(n, [("d", 3, certificate.d)])
+    d_pair, witness = _materialize([d_alg, d_alg], pair.pairs)
+    if witness is not None:
+        raise InconsistencyError("ternary table does not preserve theta")
+    try:
+        d_table = quotient(d_pair, delta.partition).algebra.operations[0].table
+    except ValueError:
+        raise InconsistencyError("ternary table does not factor through the quotient") from None
     certificate_d = verify_wdt(D, d_table, provenance="induced from base certificate")
     if not certificate_d.verdict:
         raise InconsistencyError("induced table fails to be a weak difference term on D")

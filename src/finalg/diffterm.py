@@ -75,26 +75,6 @@ def _abelian_quotient_pairs(algebra: FiniteAlgebra) -> list[tuple[Partition, Par
     return out
 
 
-def _lift_table_to_power(d: Sequence[int], n: int, k: int) -> tuple[int, ...]:
-    """Coordinatewise lift of a ternary table on n elements to n^k elements."""
-    if k == 1:
-        return tuple(d)
-    m = n**k
-    darr = np.asarray(d, dtype=np.int64)
-    xs = np.arange(m, dtype=np.int64)
-    digits = [(xs // n ** (k - 1 - j)) % n for j in range(k)]
-    out = np.zeros(m**3, dtype=np.int64)
-    grids = np.indices((m, m, m)).reshape(3, -1)
-    acc = np.zeros(grids.shape[1], dtype=np.int64)
-    for j in range(k):
-        dx = digits[j][grids[0]]
-        dy = digits[j][grids[1]]
-        dz = digits[j][grids[2]]
-        acc = acc * n + darr[(dx * n + dy) * n + dz]
-    out = acc
-    return tuple(out.tolist())
-
-
 def verify_wdt(
     algebra: FiniteAlgebra,
     d: Sequence[int],
@@ -128,7 +108,7 @@ def verify_wdt(
 
     for k in scope:
         alg_k = algebra if k == 1 else power(algebra, k)
-        d_k = d if k == 1 else _lift_table_to_power(d, n, k)
+        d_k = d if k == 1 else power(FiniteAlgebra(n, [("d", 3, d)]), k).operations[0].table
         m = alg_k.size
         label = f"A^{k}" if k > 1 else "A"
         for delta, theta in _abelian_quotient_pairs(alg_k):

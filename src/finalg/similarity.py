@@ -23,6 +23,8 @@ from .core import (
     CapExceededError,
     ElementMap,
     FiniteAlgebra,
+    _materialize,
+    _restricted_results,
     closure_in_power,
     find_isomorphism,
     generate_subuniverse,
@@ -618,30 +620,6 @@ class Bridge:
     report: Report
 
 
-def _trace_algebra(a: FiniteAlgebra, b: FiniteAlgebra, trace: list[tuple[int, int]]):
-    """The trace as a subalgebra of a x b, materialized on indices."""
-    pos = {p: i for i, p in enumerate(trace)}
-    ops = []
-    for op_a, op_b in zip(a.operations, b.operations):
-        k = op_a.arity
-        table = []
-        for args in itertools.product(range(len(trace)), repeat=k):
-            xa = [trace[i][0] for i in args]
-            xb = [trace[i][1] for i in args]
-            ia = 0
-            ib = 0
-            for x in xa:
-                ia = ia * a.size + x
-            for x in xb:
-                ib = ib * b.size + x
-            val = (op_a.table[ia], op_b.table[ib])
-            if val not in pos:
-                return None, None
-            table.append(pos[val])
-        ops.append((op_a.name, k, table))
-    return FiniteAlgebra(len(trace), ops), pos
-
-
 def bridge_verify(a: FiniteAlgebra, b: FiniteAlgebra, tuples) -> Report:
     """Check the bridge axioms for a four-ary relation between two
     subdirectly irreducible algebras, plus the derived facts: the kernel is a
@@ -658,23 +636,10 @@ def bridge_verify(a: FiniteAlgebra, b: FiniteAlgebra, tuples) -> Report:
     mu_b = _monolith_of(b)
     items = []
 
-    witness = None
-    for op_a, op_b in zip(a.operations, b.operations):
-        k = op_a.arity
-        for args in itertools.product(sorted(T), repeat=k):
-            out = []
-            for c, (alg, op) in enumerate(
-                [(a, op_a), (a, op_a), (b, op_b), (b, op_b)]
-            ):
-                idx = 0
-                for t in args:
-                    idx = idx * alg.size + t[c]
-                out.append(op.table[idx])
-            if tuple(out) not in T:
-                witness = (op_a.name, args, tuple(out))
-                break
-        if witness:
-            break
+    # only the verdict is needed: stream the results instead of building
+    # the |T|^k tables of an algebra on T
+    results = _restricted_results([a, a, b, b], sorted(T))
+    witness = next((w for _, _, w in results if w is not None), None)
     items.append(
         CheckItem(
             id="compatible-relation",
@@ -725,7 +690,7 @@ def bridge_verify(a: FiniteAlgebra, b: FiniteAlgebra, tuples) -> Report:
     )
 
     trace = sorted({(t[0], t[2]) for t in T} | {(t[1], t[3]) for t in T})
-    trace_alg, pos = _trace_algebra(a, b, trace)
+    trace_alg, _ = _materialize([a, b], trace)
     if trace_alg is None:
         items.append(
             CheckItem(
@@ -738,6 +703,7 @@ def bridge_verify(a: FiniteAlgebra, b: FiniteAlgebra, tuples) -> Report:
         )
         return Report("similarity bridge", tuple(items))
 
+    pos = {p: i for i, p in enumerate(trace)}
     kernel_pairs = {
         (pos[(t[0], t[2])], pos[(t[1], t[3])]) for t in T
     }
@@ -940,20 +906,11 @@ def _quotient_certificate(
 ):
     """Push the weak difference term through a quotient and re-verify it."""
     q = quotient(algebra, gamma, check=False)
-    n = algebra.size
-    m = q.algebra.size
-    labels = list(q.projection.images)
-    reps = list(q.block_representatives)
-    table = [0] * (m**3)
-    for x, y, z in itertools.product(range(m), repeat=3):
-        table[(x * m + y) * m + z] = labels[
-            certificate.d[(reps[x] * n + reps[y]) * n + reps[z]]
-        ]
-    for x, y, z in itertools.product(range(n), repeat=3):
-        if labels[certificate.d[(x * n + y) * n + z]] != table[
-            (labels[x] * m + labels[y]) * m + labels[z]
-        ]:
-            raise InconsistencyError("weak difference term does not factor through the quotient")
+    try:
+        d = quotient(FiniteAlgebra(algebra.size, [("d", 3, certificate.d)]), gamma)
+    except ValueError:
+        raise InconsistencyError("weak difference term does not factor through the quotient") from None
+    table = d.algebra.operations[0].table
     cert = verify_wdt(q.algebra, table, provenance="pushed through quotient")
     if not cert.verdict:
         raise InconsistencyError("pushed table fails verification on the quotient")

@@ -12,7 +12,9 @@ congruence worklist the library used before its one congruence kernel,
 rebuilt from operation tables, and `reference_pair_algebra` materializes a
 pair algebra for it.  `reference_lattice` is the eager construction of
 Con(A) the library used before its tables became lazy, on restricted-growth
-label tuples of its own.
+label tuples of its own.  `reference_restrict`, `reference_quotient` and
+`reference_is_homomorphism` are the per-tuple loops that built traces,
+checked bridges, quotients and homomorphisms before the one materializer.
 """
 
 from __future__ import annotations
@@ -512,3 +514,86 @@ def reference_lattice(n: int, ops):
             if not any(k != i and k != j and leq_matrix[i][k] and leq_matrix[k][j] for k in range(m)):
                 covers.add((i, j))
     return elements, leq_matrix, join_table, meet_table, frozenset(covers)
+
+
+# ---------------------------------------------------------------------------
+# The per-tuple Python loops the library used before its one materializer,
+# generalized to any number of factors: `similarity._trace_algebra` and the
+# compatible-relation loop of `bridge_verify` (`reference_restrict`), the
+# table and check loops of `core.quotient` (`reference_quotient`) and the
+# loop of `core.is_homomorphism` (`reference_is_homomorphism`).
+# ---------------------------------------------------------------------------
+
+
+def reference_restrict(factors: Sequence[FiniteAlgebra], rows):
+    """The rows (sorted, distinct) of a subset of the product of same-signature
+    factors as an algebra on row indices: (flat tables, None), or (None,
+    (op name, argument rows, result row)) for the first result that is not a
+    row, in operation order and then in row-major order of the arguments."""
+    rows = [tuple(int(x) for x in r) for r in rows]
+    pos = {r: i for i, r in enumerate(rows)}
+    tables = []
+    for i, op in enumerate(factors[0].operations):
+        table = []
+        for args in itertools.product(rows, repeat=op.arity):
+            out = []
+            for c, factor in enumerate(factors):
+                idx = 0
+                for t in args:
+                    idx = idx * factor.size + t[c]
+                out.append(factor.operations[i].table[idx])
+            out = tuple(out)
+            if out not in pos:
+                return None, (op.name, args, out)
+            table.append(pos[out])
+        tables.append(table)
+    return tables, None
+
+
+def reference_quotient(algebra: FiniteAlgebra, blocks):
+    """(flat tables, labels, representatives) of the quotient by a partition
+    given as sorted blocks in order of least element, each table read off the
+    representatives and then compared on every argument tuple; raises
+    ValueError naming the first operation the partition is not compatible with."""
+    n = algebra.size
+    labels = [0] * n
+    for i, blk in enumerate(blocks):
+        for x in blk:
+            labels[x] = i
+    reps = [blk[0] for blk in blocks]
+    m = len(blocks)
+    tables = []
+    for op in algebra.operations:
+        k = op.arity
+        table = []
+        for args in itertools.product(range(m), repeat=k):
+            idx = 0
+            for x in args:
+                idx = idx * n + reps[x]
+            table.append(labels[op.table[idx]])
+        for args in itertools.product(range(n), repeat=k):
+            idx = 0
+            jdx = 0
+            for x in args:
+                idx = idx * n + x
+                jdx = jdx * m + labels[x]
+            if labels[op.table[idx]] != table[jdx]:
+                raise ValueError(f"partition is not a congruence (operation '{op.name}')")
+        tables.append(table)
+    return tables, labels, reps
+
+
+def reference_is_homomorphism(a: FiniteAlgebra, b: FiniteAlgebra, images) -> bool:
+    """h(op(x..)) == op(h(x)..) for all operations and argument tuples."""
+    if a.signature() != b.signature():
+        return False
+    for op_a, op_b in zip(a.operations, b.operations):
+        for args in itertools.product(range(a.size), repeat=op_a.arity):
+            ia = 0
+            ib = 0
+            for x in args:
+                ia = ia * a.size + x
+                ib = ib * b.size + images[x]
+            if images[op_a.table[ia]] != op_b.table[ib]:
+                return False
+    return True

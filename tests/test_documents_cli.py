@@ -226,3 +226,35 @@ def test_cli_internal_error_exit_code(tmp_path, z4, monkeypatch):
     code, text = run_command(["centralizer", "--in", str(z4_path), "--delta", "zero", "--theta", "full"])
     assert code == 3
     assert text.splitlines()[-1] == "internal-error: centralizer sweep produced a non-centralizing join"
+
+
+def test_cli_parser_is_reused_across_commands(tmp_path, z4, s2, z4_theta):
+    """One process, one parser: a sequence of different subcommands, parse
+    errors and optional arguments given then omitted gives the texts and
+    exit codes of the same calls each made with a freshly built parser."""
+    z4_path = tmp_path / "z4.alg"
+    z4_path.write_text(serialize_algebra(z4, labels={"theta": z4_theta}))
+    s2_path = tmp_path / "s2.alg"
+    s2_path.write_text(serialize_algebra(s2))
+    calls = [
+        ["con", "--in", str(z4_path)],
+        ["abelian", "--in", str(s2_path), "--theta", "full", "--delta", "zero"],
+        ["abelian", "--in", str(s2_path), "--theta", "full"],
+        ["no-such-command"],
+        ["centralizer", "--in", str(z4_path), "--delta", "zero", "--theta", "theta"],
+        ["con"],
+        ["wdt-verify", "--in", str(z4_path), "--d", "p", "--scope", "A,A2"],
+        ["wdt-verify", "--in", str(z4_path), "--d", "p"],
+        ["field", "--p", "3"],
+        ["con", "--in", str(z4_path), "--cap", "10"],
+        ["con", "--in", str(z4_path)],
+    ]
+    fresh = []
+    for argv in calls:
+        cli._build_parser.cache_clear()
+        fresh.append(run_command(argv))
+    cli._build_parser.cache_clear()
+    in_sequence = [run_command(argv) for argv in calls]
+    assert in_sequence == fresh
+    assert [code for code, _ in fresh] == [0, 1, 1, 2, 0, 2, 0, 0, 0, 0, 0]
+    assert cli._build_parser() is cli._build_parser()

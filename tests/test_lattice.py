@@ -107,3 +107,13 @@ def test_closure_raises_at_a_cap_one_below_its_size(n, ops):
     with pytest.raises(CapExceededError):
         congruence_lattice(_algebra(n, ops), cap=size - 1)
     assert len(congruence_lattice(_algebra(n, ops), cap=size)) == size
+
+
+def test_memoized_lattice_still_respects_the_cap():
+    """A memo hit re-checks the cap: the second call on the same algebra
+    raises exactly as a first call with that cap would."""
+    algebra = _algebra(5, [(0, [2])])
+    assert len(congruence_lattice(algebra)) == 52
+    with pytest.raises(CapExceededError):
+        congruence_lattice(algebra, cap=10)
+    assert len(congruence_lattice(algebra, cap=52)) == 52
