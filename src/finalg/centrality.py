@@ -22,6 +22,15 @@ in delta is constant on every Delta-class (Freese and McKenzie, Commutator
 Theory for Congruence Modular Varieties, 1987).  Delta is generated by the
 congruence kernel of `congruences`, which works on the translations of the
 pair algebra factored as t_a x t_b and never builds its tables.
+
+With pi_delta the theta-pairs partitioned by delta-membership and core(pi_delta)
+the largest congruence of the pair algebra A(theta) inside it, (delta : theta)
+is {(x, y) : ((x, x), (y, y)) in core(pi_delta)}: C(phi, theta; delta) iff
+Delta(theta, phi) lies in pi_delta, iff in core(pi_delta) (Delta is a
+congruence), iff the diagonal pairs of phi, which generate Delta, do; and
+x -> (x, x) is a homomorphism.  `centralizer` computes the core by Moore's
+refinement (Paige and Tarjan, Three partition refinement algorithms, SIAM J.
+Comput. 16, 1987), sharing no code with the kernel.
 """
 
 from __future__ import annotations
@@ -32,13 +41,16 @@ from typing import Iterable
 
 import numpy as np
 
+from . import core
 from .core import DEFAULT_CLOSURE_CAP, FiniteAlgebra, Quotient, closure_in_power, quotient
 from .congruences import (
     Partition,
-    _distinct_principal_congruences,
+    _distinct,
     _generate_congruence,
+    _pair_translations,
     compose_relations,
     congruence_lattice,
+    is_congruence,
     pull_partition,
     push_partition,
 )
@@ -228,29 +240,70 @@ def is_abelian(algebra: FiniteAlgebra, theta: Partition, delta: Partition | None
     return centralizes(algebra, theta, theta, delta).holds
 
 
-def centralizer(algebra: FiniteAlgebra, delta: Partition, theta: Partition) -> Partition:
-    """(delta : theta): the largest congruence phi with C(phi, theta; delta).
+def _refine(labels: np.ndarray, images, salt: np.ndarray | None) -> np.ndarray:
+    """Moore's refinement of dense `labels` to the coarsest partition that
+    the maps of `images()`, (offset, (s, k) image array) slices, respect; a
+    round groups elements by their own and their images' labels, hashed by a
+    wrapping dot product with `salt`, or exactly when salt is None."""
+    count = labels.max() + 1
+    while True:
+        new = labels if salt is None else labels * salt[0]
+        for lo, img in images():
+            if salt is None:
+                block = np.column_stack((new, labels[img].T))
+                new = np.unique(block, axis=0, return_inverse=True)[1].reshape(-1)
+            else:
+                new = new + salt[1 + lo : 1 + lo + len(img)] @ labels[img]
+        keys = _distinct(new)
+        if len(keys) <= count:
+            return np.searchsorted(keys, new)
+        labels, count = np.searchsorted(keys, new), len(keys)
 
-    Computed as the join of the principal congruences that centralize theta
-    modulo delta (the passing set is downward closed and closed under join);
-    the join itself is checked once more, and InconsistencyError is raised
-    if it fails.
-    """
+
+def centralizer(algebra: FiniteAlgebra, delta: Partition, theta: Partition) -> Partition:
+    """(delta : theta): the largest congruence phi with C(phi, theta; delta),
+    read off core(pi_delta) as the module docstring shows.  Raises
+    ValueError when theta or delta is not a congruence."""
     key = ("centralizer", delta, theta)
     cached = algebra._cache.get(key)
     if cached is not None:
         return cached
-    result = Partition.zero(algebra.size)
-    candidates = sorted(
-        _distinct_principal_congruences(algebra), key=lambda p: -p.rank
-    )
-    for cand in candidates:
-        if cand.leq(result):
-            continue
-        if centralizes(algebra, cand, theta, delta).holds:
-            result = result.join(cand)
-    if not centralizes(algebra, result, theta, delta).holds:
-        raise InconsistencyError("centralizer sweep produced a non-centralizing join")
+    n = algebra.size
+    pairs, pos, p0, p1, scaled, flat, rows0, rows1 = _pair_translations(algebra, theta)
+    # the refinement runs on the classes of Delta(theta, delta), which lie
+    # inside the core; Delta(theta, 0) is 0
+    if delta.rank:
+        if not is_congruence(algebra, delta):
+            raise ValueError(f"{delta!r} is not a congruence of the algebra")
+        part = diagonal_pair_congruence(algebra, theta, delta)[1]
+        cls = np.array(part.index, dtype=np.int64)
+        reps = np.array([blk[0] for blk in part.blocks], dtype=np.int64)
+    else:
+        cls = reps = np.arange(len(pairs))
+    # dense labels of pi_delta: 0 on delta, which holds the first pair (0, 0)
+    didx = np.array(delta.index, dtype=np.int64)
+    start = (didx[p0] != didx[p1]).astype(np.int64)
+    if (start != start[reps][cls]).any():
+        raise InconsistencyError("delta-membership varies on a class of Delta(theta, delta)")
+    start, x0, x1 = start[reps], p0[reps], p1[reps]
+    # a slice of the gather holds about six int64 temporaries per cell
+    step = max(1, core._CHUNK_CELLS // (6 * len(reps)))
+
+    def images():
+        for lo in range(0, len(rows0), step):
+            yield lo, cls[pos[scaled[rows0[lo : lo + step] + x0] + flat[rows1[lo : lo + step] + x1]]]
+
+    # hash collisions only merge classes, so a result that is stable and
+    # inside pi_delta is the core; any other is refined again exactly
+    for salt in (core._salt(1 << len(rows0).bit_length()), None):
+        labels = _refine(start, images, salt)
+        order = np.argsort(labels)
+        rep = order[np.searchsorted(labels[order], labels)]
+        if (start == start[rep]).all() and all((labels[i] == labels[i[:, rep]]).all() for _, i in images()):
+            break
+    else:
+        raise InconsistencyError("exact refinement is not stable inside pi_delta")
+    result = Partition.from_labels(n, labels[cls[pos[np.arange(n) * (n + 1)]]].tolist())
     algebra._cache[key] = result
     return result
 

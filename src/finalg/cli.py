@@ -19,7 +19,7 @@ import sys
 import time
 
 from .core import CapExceededError, FiniteAlgebra
-from .congruences import Partition, congruence_lattice, structure_report
+from .congruences import Partition, congruence_lattice, is_congruence, structure_report
 from .centrality import (
     InconsistencyError,
     centralizer,
@@ -349,6 +349,8 @@ def _dispatch(args) -> tuple[int, Report]:
     if cmd == "centralizer":
         delta = parse_partition_argument(args.delta, algebra.size, labels)
         theta = parse_partition_argument(args.theta, algebra.size, labels)
+        if not is_congruence(algebra, delta):
+            raise DocumentError(f"--delta {_fmt_partition(delta)} is not a congruence")
         result = centralizer(algebra, delta, theta)
         items = [
             CheckItem(
@@ -368,6 +370,8 @@ def _dispatch(args) -> tuple[int, Report]:
             if args.delta
             else Partition.zero(algebra.size)
         )
+        if not is_congruence(algebra, delta):
+            raise DocumentError(f"--delta {_fmt_partition(delta)} is not a congruence")
         verdict = centralizes(algebra, theta, theta, delta)
         items = [
             CheckItem(

@@ -280,14 +280,22 @@ def _pair_translations(algebra: FiniteAlgebra, theta: Partition | None):
     translation table flattened, and `scaled` = flat * n, so that it sends
     the pair (x0, x1) to pos[scaled[rows0 + x0] + flat[rows1 + x1]].
     Translations that never relate two distinct elements (both factors
-    constant, or the identity twice) are dropped.
+    constant, or the identity twice) are dropped.  A theta of rank 0 shares
+    the entry of None; a theta that is not a congruence raises ValueError.
     """
+    n = algebra.size
+    if theta is not None and theta.rank == 0 and theta.size == n:
+        theta = None
     key = ("pair_translations", theta)
     cached = algebra._cache.get(key)
     if cached is not None:
         return cached
-    n = algebra.size
     table, ids = _base_translations(algebra)
+    if theta is not None:
+        idx = np.array(theta.index, dtype=np.int64)
+        first = np.array([blk[0] for blk in theta.blocks], dtype=np.int64)[idx]
+        if len(idx) != n or (idx[table] != idx[table[:, first]]).any():
+            raise ValueError(f"{theta!r} is not a congruence of the algebra")
     t = len(table)
     blocks = [[x] for x in range(n)] if theta is None else theta.blocks
     pairs = sorted((a, b) for blk in blocks for a in blk for b in blk)
@@ -733,11 +741,6 @@ def push_partition(theta: Partition, proj, m: int) -> Partition:
 def pull_partition(lam: Partition, proj, n: int) -> Partition:
     """Preimage f^{-1}(lam) of a partition on the target of proj: n -> m."""
     return Partition.from_labels(n, [lam.index[proj(x)] for x in range(n)])
-
-
-def restriction_to(theta: Partition, subset: Sequence[int]) -> Partition:
-    """theta restricted to `subset`, reindexed by position in `subset`."""
-    return Partition.from_labels(len(subset), [theta.index[x] for x in subset])
 
 
 def is_congruence(algebra: FiniteAlgebra, theta: Partition) -> bool:

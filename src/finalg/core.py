@@ -22,6 +22,7 @@ synchronization.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import Callable, Iterable, Sequence
 
@@ -338,6 +339,14 @@ def _pack(rows: np.ndarray, n: int) -> np.ndarray:
         codes *= n
         codes += rows[:, c]
     return codes
+
+
+@functools.lru_cache(maxsize=64)
+def _salt(size: int) -> np.ndarray:
+    """Fixed odd int64 salts, read-only, to hash rows by a wrapping dot product."""
+    salt = np.random.default_rng(0).integers(-(2**63), 2**63 - 1, size=size, dtype=np.int64) | 1
+    salt.flags.writeable = False
+    return salt
 
 
 def _unpack(codes: np.ndarray, n: int, width: int) -> np.ndarray:

@@ -166,7 +166,7 @@ def search_wdt(
     """
     n = algebra.size
     w = n**3
-    salt = np.random.default_rng(0).integers(-(2**63), 2**63 - 1, size=w, dtype=np.int64) | 1
+    salt = core._salt(w)
     # a slice of the exact check holds two gathered copies of its rows
     step = max(1, core._CHUNK_CELLS // (2 * w))
 
