@@ -28,9 +28,10 @@ the largest congruence of the pair algebra A(theta) inside it, (delta : theta)
 is {(x, y) : ((x, x), (y, y)) in core(pi_delta)}: C(phi, theta; delta) iff
 Delta(theta, phi) lies in pi_delta, iff in core(pi_delta) (Delta is a
 congruence), iff the diagonal pairs of phi, which generate Delta, do; and
-x -> (x, x) is a homomorphism.  `centralizer` computes the core by Moore's
-refinement (Paige and Tarjan, Three partition refinement algorithms, SIAM J.
-Comput. 16, 1987), sharing no code with the kernel.
+x -> (x, x) is a homomorphism.  `centralizer` refines the classes of
+Delta(theta, delta) to the core (Moore; Paige and Tarjan, SIAM J. Comput. 16,
+1987) over the kernel's translation table, so it and the term condition
+differ only in how a congruence of A(theta) is formed.
 """
 
 from __future__ import annotations
@@ -268,13 +269,14 @@ def centralizer(algebra: FiniteAlgebra, delta: Partition, theta: Partition) -> P
     cached = algebra._cache.get(key)
     if cached is not None:
         return cached
+    if delta.rank and not is_congruence(algebra, delta):
+        raise ValueError(f"{delta!r} is not a congruence of the algebra")
     n = algebra.size
     pairs, pos, p0, p1, scaled, flat, rows0, rows1 = _pair_translations(algebra, theta)
     # the refinement runs on the classes of Delta(theta, delta), which lie
-    # inside the core; Delta(theta, 0) is 0
+    # inside the core (Delta(theta, 0) is 0); the kernel's Delta is memoized
+    # for `centralizes`, and refining its classes beats refining every pair
     if delta.rank:
-        if not is_congruence(algebra, delta):
-            raise ValueError(f"{delta!r} is not a congruence of the algebra")
         part = diagonal_pair_congruence(algebra, theta, delta)[1]
         cls = np.array(part.index, dtype=np.int64)
         reps = np.array([blk[0] for blk in part.blocks], dtype=np.int64)

@@ -349,8 +349,6 @@ def _dispatch(args) -> tuple[int, Report]:
     if cmd == "centralizer":
         delta = parse_partition_argument(args.delta, algebra.size, labels)
         theta = parse_partition_argument(args.theta, algebra.size, labels)
-        if not is_congruence(algebra, delta):
-            raise DocumentError(f"--delta {_fmt_partition(delta)} is not a congruence")
         result = centralizer(algebra, delta, theta)
         items = [
             CheckItem(

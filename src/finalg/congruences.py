@@ -33,7 +33,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import core
-from .core import CapExceededError, FiniteAlgebra, is_homomorphism, quotient
+from .core import CapExceededError, FiniteAlgebra
 
 DEFAULT_LATTICE_CAP = 10**5
 
@@ -290,12 +290,9 @@ def _pair_translations(algebra: FiniteAlgebra, theta: Partition | None):
     cached = algebra._cache.get(key)
     if cached is not None:
         return cached
+    if theta is not None and not is_congruence(algebra, theta):
+        raise ValueError(f"{theta!r} is not a congruence of the algebra")
     table, ids = _base_translations(algebra)
-    if theta is not None:
-        idx = np.array(theta.index, dtype=np.int64)
-        first = np.array([blk[0] for blk in theta.blocks], dtype=np.int64)[idx]
-        if len(idx) != n or (idx[table] != idx[table[:, first]]).any():
-            raise ValueError(f"{theta!r} is not a congruence of the algebra")
     t = len(table)
     blocks = [[x] for x in range(n)] if theta is None else theta.blocks
     pairs = sorted((a, b) for blk in blocks for a in blk for b in blk)
@@ -744,7 +741,9 @@ def pull_partition(lam: Partition, proj, n: int) -> Partition:
 
 
 def is_congruence(algebra: FiniteAlgebra, theta: Partition) -> bool:
-    """Exhaustive compatibility check of a partition with every operation:
-    the projection onto the quotient is a homomorphism."""
-    q = quotient(algebra, theta, check=False)
-    return is_homomorphism(algebra, q.algebra, q.projection)
+    """Whether the partition theta is a congruence: every basic translation
+    t preserves it (Mal'cev), i.e. t(x) ~ t(first element of x's block)."""
+    table, _ = _base_translations(algebra)
+    idx = np.array(theta.index, dtype=np.int64)
+    first = np.array([blk[0] for blk in theta.blocks], dtype=np.int64)[idx]
+    return theta.size == algebra.size and not (idx[table] != idx[table[:, first]]).any()
