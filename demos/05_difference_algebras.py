@@ -28,7 +28,7 @@ cert = certificate_from_operation(z4, "p")
 print("== the pair algebra and its diagonal congruence ==")
 pa = pair_algebra(z4, theta)
 print("pairs of theta:", pa.pairs)
-dc = delta_congruence(pa, Partition.one(4), certificate=cert)
+dc = delta_congruence(pa, Partition.one(4))
 print("diagonal congruence classes:",
       [[pa.pairs[i] for i in blk] for blk in dc.partition.blocks])
 

@@ -65,23 +65,26 @@ def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="finalg", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
 
-    def alg_cmd(name, help_text, second=False):
+    def alg_cmd(name, help_text, second=False, cap=True):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--in", dest="infile", required=True, help="algebra document")
         if second:
             p.add_argument("--in2", dest="infile2", help="second algebra document")
         p.add_argument("--out", dest="outfile", help="write the report here as well")
-        p.add_argument("--cap", type=int, default=None, help="generation cap override")
+        if cap:
+            p.add_argument("--cap", type=int, default=None, help="generation cap override")
         return p
 
     alg_cmd("con", "congruence lattice, covers, monolith")
-    p = alg_cmd("centralizer", "the largest congruence centralizing theta modulo delta")
+    p = alg_cmd("centralizer", "the largest congruence centralizing theta modulo delta", cap=False)
     p.add_argument("--delta", required=True)
     p.add_argument("--theta", required=True)
-    p = alg_cmd("abelian", "is theta abelian (modulo delta)?")
+    p = alg_cmd("abelian", "is theta abelian (modulo delta)?", cap=False)
     p.add_argument("--theta", required=True)
     p.add_argument("--delta", default=None)
-    p = alg_cmd("wdt-verify", "verify a basic ternary operation as a weak difference term")
+    p = alg_cmd(
+        "wdt-verify", "verify a basic ternary operation as a weak difference term", cap=False
+    )
     p.add_argument("--d", required=True, help="name of the candidate ternary operation")
     p.add_argument("--scope", default="A", help="comma list from A,A2,A3")
     p = alg_cmd("wdt-search", "search the ternary term clone for a weak difference term")
@@ -315,7 +318,7 @@ def _dispatch(args) -> tuple[int, Report]:
     cap = getattr(args, "cap", None)
 
     if cmd == "con":
-        lat = congruence_lattice(algebra)
+        lat = congruence_lattice(algebra) if cap is None else congruence_lattice(algebra, cap=cap)
         rep = structure_report(lat)
         items = [
             CheckItem(
@@ -444,7 +447,7 @@ def _dispatch(args) -> tuple[int, Report]:
         extra = ()
         if getattr(args, "phi", None):
             phi = parse_partition_argument(args.phi, algebra.size, labels)
-            dc = delta_congruence(da.pair, phi, certificate=cert)
+            dc = delta_congruence(da.pair, phi)
             classes = "; ".join(
                 ",".join(str(da.pair.pairs[i]) for i in blk) for blk in dc.partition.blocks
             )

@@ -113,51 +113,13 @@ class DeltaCongruence:
         return MatrixSet(self.pair.base, self.pair.theta, self.phi, "Dh", tuple(sorted(mats)))
 
 
-def delta_congruence(
-    pair: PairAlgebra, phi: Partition, *, certificate: WdtCertificate | None = None
-) -> DeltaCongruence:
+def delta_congruence(pair: PairAlgebra, phi: Partition) -> DeltaCongruence:
     """Delta for phi on the pair algebra of theta, read from
     `centrality.diagonal_pair_congruence`, the one computation of Delta that
     the term condition also uses (and that is cached on the base algebra).
-
-    With a verified weak difference term and theta abelian, the horizontal
-    closure is additionally checked to be vertically symmetric and
-    transitive, and the two-sided set for phi = theta is checked to already
-    be transitively closed (so closure adds nothing).
-    """
-    base = pair.base
-    theta = pair.theta
-    _, partition = diagonal_pair_congruence(base, theta, phi)
-    dc = DeltaCongruence(pair, phi, partition)
-
-    if certificate is not None and certificate.verdict and is_abelian(base, theta):
-        dh = dc.horizontal_matrices().matrices
-        dh_set = set(dh)
-        for a, b, c, d in dh:
-            if (b, a, d, c) not in dh_set:
-                raise InconsistencyError(f"vertical symmetry fails at {(a, b, c, d)}")
-        by_top: dict[tuple[int, int], list[tuple[int, int, int, int]]] = {}
-        for m in dh:
-            by_top.setdefault((m[0], m[2]), []).append(m)
-        for a, b, c, d in dh:
-            for b2, r, d2, s in by_top.get((b, d), ()):
-                if (a, r, c, s) not in dh_set:
-                    raise InconsistencyError("vertical transitivity fails")
-        two_sided = delta_two_sided_check(pair, certificate)
-        if not two_sided:
-            raise InconsistencyError("M(theta, theta) is not horizontally transitive")
-    return dc
-
-
-def delta_two_sided_check(pair: PairAlgebra, certificate: WdtCertificate) -> bool:
-    """For abelian theta with a weak difference term, the matrix set
-    M(theta, theta) equals the horizontal closure of the diagonal congruence
-    for phi = theta."""
-    base, theta = pair.base, pair.theta
-    _, delta_tt = diagonal_pair_congruence(base, theta, theta)
-    dh = set(DeltaCongruence(pair, theta, delta_tt).horizontal_matrices().matrices)
-    ms = set(generate_matrices(base, theta, theta).matrices)
-    return dh == ms
+    Its matrix facts are checked by `verify_diffalg_theorems`."""
+    _, partition = diagonal_pair_congruence(pair.base, pair.theta, phi)
+    return DeltaCongruence(pair, phi, partition)
 
 
 class DifferenceAlgebra:
@@ -215,37 +177,34 @@ class DifferenceAlgebra:
 def difference_algebra(
     base: FiniteAlgebra, theta: Partition, certificate: WdtCertificate
 ) -> DifferenceAlgebra:
-    """Construct D(A, theta) for an abelian congruence theta and assert its
-    structural properties: the derived congruence is abelian and equal to its
-    own zero-centralizer, the canonical transversal is a subuniverse
-    transversal whose preimage is the diagonal, classes of theta map onto
-    classes of the derived congruence, and for minimal theta the result is
-    subdirectly irreducible with the derived congruence as monolith."""
+    """Construct D(A, theta) for an abelian congruence theta: alpha =
+    (0 : theta), the pair algebra, Delta, the quotient D with nu, the derived
+    congruence phi, the canonical transversal (nu of each alpha-class
+    diagonal), the class map A/alpha -> D/phi and the induced weak difference
+    term with its verified certificate.
+
+    The guards kept here are those without which D is not defined: a
+    `ValueError` when the certificate is not a valid one for `base` or theta
+    is not abelian, and an `InconsistencyError` when d does not preserve
+    theta or does not factor through Delta.  The structure theorems (the
+    matrix facts, the derived congruence, the transversal, A/alpha isomorphic
+    to D/phi and subdirect irreducibility) are checks of
+    `verify_diffalg_theorems`."""
     if not certificate.verdict or certificate.algebra != base:
         raise ValueError("need a valid weak-difference-term certificate for the base algebra")
     if not is_abelian(base, theta):
         raise ValueError("theta is not abelian")
     n = base.size
-    zero = Partition.zero(n)
-    alpha = centralizer(base, zero, theta)
+    alpha = centralizer(base, Partition.zero(n), theta)
     pair = pair_algebra(base, theta)
-    delta = delta_congruence(pair, alpha, certificate=certificate)
+    delta = delta_congruence(pair, alpha)
     q = quotient(pair.algebra, delta.partition, check=True)
     D, nu = q.algebra, q.projection
-    alpha_bar = pair.lift(alpha)
-    phi = push_partition(alpha_bar, nu, D.size)
-
-    # the diagonal of each alpha-class is a single delta-class
-    zero_of_block = []
-    for blk in alpha.blocks:
-        images = {nu(pair.diagonal_index(c)) for c in blk}
-        if len(images) != 1:
-            raise InconsistencyError("diagonal of an alpha-class split across delta-classes")
-        zero_of_block.append(images.pop())
-    transversal = tuple(zero_of_block)
-    tset = frozenset(transversal)
-    if len(tset) != len(alpha.blocks):
-        raise InconsistencyError("canonical transversal elements collide")
+    phi = push_partition(pair.lift(alpha), nu, D.size)
+    zero_of_block = [nu(pair.diagonal_index(blk[0])) for blk in alpha.blocks]
+    class_iso = ElementMap(
+        len(alpha.blocks), len(phi.blocks), [phi.index[z] for z in zero_of_block]
+    )
 
     # induced weak difference term on D: d on the pair set, pushed through nu
     d_alg = FiniteAlgebra(n, [("d", 3, certificate.d)])
@@ -257,42 +216,10 @@ def difference_algebra(
     except ValueError:
         raise InconsistencyError("ternary table does not factor through the quotient") from None
     certificate_d = verify_wdt(D, d_table, provenance="induced from base certificate")
-    if not certificate_d.verdict:
-        raise InconsistencyError("induced table fails to be a weak difference term on D")
-
-    # derived congruence facts
-    if not is_abelian(D, phi):
-        raise InconsistencyError("derived congruence is not abelian")
-    if centralizer(D, Partition.zero(D.size), phi) != phi:
-        raise InconsistencyError("derived congruence is not its own zero-centralizer")
-    for blk in phi.blocks:
-        if len(tset.intersection(blk)) != 1:
-            raise InconsistencyError("canonical transversal is not a transversal")
-    if generate_subuniverse(D, tset) != tset:
-        raise InconsistencyError("canonical transversal is not a subuniverse")
-    for i, (a, b) in enumerate(pair.pairs):
-        if (nu(i) in tset) != (a == b):
-            raise InconsistencyError("preimage of the transversal is not the diagonal")
-
-    # classes of A/alpha correspond to classes of D/phi
-    qa = quotient(base, alpha, check=False)
-    qd = quotient(D, phi, check=False)
-    images = [0] * qa.algebra.size
-    for i, blk in enumerate(alpha.blocks):
-        images[i] = qd.projection(zero_of_block[i])
-    class_iso = ElementMap(qa.algebra.size, qd.algebra.size, images)
-    if not class_iso.is_bijective() or not is_homomorphism(qa.algebra, qd.algebra, class_iso):
-        raise InconsistencyError("A/alpha does not match D/phi")
-
-    theta_minimal = _is_minimal_congruence(base, theta)
-    if theta_minimal:
-        rep = structure_report(congruence_lattice(D))
-        if not rep.is_si or rep.monolith != phi:
-            raise InconsistencyError("D is not subdirectly irreducible with the derived monolith")
 
     return DifferenceAlgebra(
-        base, theta, alpha, pair, delta, D, nu, phi, transversal, zero_of_block,
-        class_iso, certificate, certificate_d, theta_minimal,
+        base, theta, alpha, pair, delta, D, nu, phi, tuple(zero_of_block), zero_of_block,
+        class_iso, certificate, certificate_d, _is_minimal_congruence(base, theta),
     )
 
 
@@ -522,11 +449,22 @@ def _m3_template_check(elems: list[Partition], zero: Partition, top: Partition):
 
 def verify_diffalg_theorems(da: DifferenceAlgebra) -> Report:
     """Itemized executable checks of the structure theorems for the pair
-    algebra and the difference algebra of an abelian congruence."""
+    algebra and the difference algebra of an abelian congruence, including
+    every fact `difference_algebra` does not assert while building D."""
     items = []
+
+    def check(item_id: str, anchor: str, statement: str, witness) -> None:
+        """An item that passes exactly when no witness against it was found."""
+        anchor = f"difference-algebra/{anchor}"
+        items.append(CheckItem(item_id, anchor, statement, witness is None, witness))
+
+    def skip(item_id: str, anchor: str, statement: str, reason: str) -> None:
+        anchor = f"difference-algebra/{anchor}"
+        items.append(CheckItem(item_id, anchor, statement, None, note=f"skipped: {reason}"))
+
     pair, base = da.pair, da.base
-    theta, alpha = da.theta, da.alpha
-    P = pair.algebra
+    theta, alpha, phi = da.theta, da.alpha, da.phi
+    P, D = pair.algebra, da.algebra
     delta = da.delta.partition
     theta_bar = pair.lift(theta)
     alpha_bar = pair.lift(alpha)
@@ -540,131 +478,142 @@ def verify_diffalg_theorems(da: DifferenceAlgebra) -> Report:
         if got != expected:
             witness = (a, sorted(got), sorted(expected))
             break
-    items.append(
-        CheckItem(
-            id="diagonal-delta-classes",
-            anchor="difference-algebra/diagonal-classes",
-            statement="the delta-class of a diagonal pair is the diagonal of its alpha-class",
-            passed=witness is None,
-            witness=witness,
-        )
+    check("diagonal-delta-classes", "diagonal-classes",
+          "the delta-class of a diagonal pair is the diagonal of its alpha-class", witness)
+
+    _, delta_tt = diagonal_pair_congruence(base, theta, theta)
+    dh_tt = set(DeltaCongruence(pair, theta, delta_tt).horizontal_matrices().matrices)
+    check("two-sided-matrices", "two-sided",
+          "M(theta, theta) is the set of horizontal matrices of Delta(theta, theta)",
+          min(dh_tt.symmetric_difference(generate_matrices(base, theta, theta).matrices),
+              default=None))
+
+    check("horizontal-vertical-closure", "vertical",
+          "the horizontal matrices of delta are vertically symmetric and transitive",
+          _vertical_closure_witness(da.delta.horizontal_matrices().matrices))
+
+    abelian = is_abelian(D, phi)
+    own = centralizer(D, Partition.zero(D.size), phi)
+    derived_ok = da.certificate_d.verdict and abelian and own == phi
+    check("derived-congruence", "derived",
+          "the induced d is a weak difference term on D, and phi is abelian with (0 : phi) = phi",
+          None if derived_ok else (da.certificate_d.failure, abelian, own))
+
+    check("canonical-transversal", "transversal",
+          "the canonical transversal has one element per alpha-class, meets every phi-class "
+          "once, is a subuniverse of D, and its preimage under nu is the diagonal",
+          _transversal_witness(da))
+
+    qa = quotient(base, alpha, check=False).algebra
+    qd = quotient(D, phi, check=False).algebra
+    iso = da.class_iso
+    ok = (
+        (iso.source_size, iso.target_size) == (qa.size, qd.size)
+        and iso.is_bijective()
+        and is_homomorphism(qa, qd, iso)
     )
+    check("class-isomorphism", "class-iso", "the class map is an isomorphism A/alpha -> D/phi",
+          None if ok else (qa.size, qd.size, iso.images))
+
+    statement = "for minimal theta, D is subdirectly irreducible with monolith phi"
+    if da.theta_minimal:
+        rep = structure_report(congruence_lattice(D))
+        ok = rep.is_si and rep.monolith == phi
+        check("subdirectly-irreducible", "si", statement, None if ok else (rep.is_si, rep.monolith))
+    else:
+        skip("subdirectly-irreducible", "si", statement, "theta is not minimal")
 
     ok = delta != alpha_bar and delta.leq(alpha_bar)
     cent = centralizer(P, delta, alpha_bar)
-    items.append(
-        CheckItem(
-            id="delta-centralizer-fixed",
-            anchor="difference-algebra/delta-centralizer",
-            statement="delta < alpha-bar and (delta : alpha-bar) = alpha-bar",
-            passed=ok and cent == alpha_bar,
-            witness=None if ok and cent == alpha_bar else (delta, alpha_bar, cent),
-        )
-    )
+    check("delta-centralizer-fixed", "delta-centralizer",
+          "delta < alpha-bar and (delta : alpha-bar) = alpha-bar",
+          None if ok and cent == alpha_bar else (delta, alpha_bar, cent))
 
     lat = congruence_lattice(P)
     ab = is_abelian(P, theta_bar)
     rep = check_interval_modular_permuting(P, lat, zero_p, theta_bar, quotient_abelian=ab)
-    items.append(
-        CheckItem(
-            id="interval-modular-permuting",
-            anchor="difference-algebra/interval-modular",
-            statement="theta-bar is abelian and I[0, theta-bar] is modular with permuting members",
-            passed=ab and rep.passed,
-            witness=None if ab and rep.passed else (ab, rep.modular_witness, rep.permuting_witness),
-        )
-    )
+    check("interval-modular-permuting", "interval-modular",
+          "theta-bar is abelian and I[0, theta-bar] is modular with permuting members",
+          None if ab and rep.passed else (ab, rep.modular_witness, rep.permuting_witness))
 
-    ok, note = _m3_template_check(
-        [zero_p, pair.eta1, pair.eta2, eps, theta_bar], zero_p, theta_bar
-    )
-    items.append(
-        CheckItem(
-            id="m3-sublattice",
-            anchor="difference-algebra/m3",
-            statement="{0, eta1, eta2, eps, theta-bar} is the five-element modular diamond",
-            passed=ok,
-            witness=note,
-        )
-    )
+    _, note = _m3_template_check([zero_p, pair.eta1, pair.eta2, eps, theta_bar], zero_p, theta_bar)
+    check("m3-sublattice", "m3",
+          "{0, eta1, eta2, eps, theta-bar} is the five-element modular diamond", note)
 
-    transposes = []
-    for lo, hi in ((eps, theta_bar), (zero_p, pair.eta1), (zero_p, pair.eta2)):
-        transposes.append(hi.meet(delta) == lo and hi.join(delta) == alpha_bar)
-    items.append(
-        CheckItem(
-            id="transposes-to-delta-interval",
-            anchor="difference-algebra/transposes",
-            statement="(eps, theta-bar), (0, eta1), (0, eta2) all transpose up to (delta, alpha-bar)",
-            passed=all(transposes),
-            witness=None if all(transposes) else transposes,
-        )
-    )
+    transposes = [
+        hi.meet(delta) == lo and hi.join(delta) == alpha_bar
+        for lo, hi in ((eps, theta_bar), (zero_p, pair.eta1), (zero_p, pair.eta2))
+    ]
+    check("transposes-to-delta-interval", "transposes",
+          "(eps, theta-bar), (0, eta1), (0, eta2) all transpose up to (delta, alpha-bar)",
+          None if all(transposes) else transposes)
 
     if da.theta_minimal:
         interval = lat.interval(zero_p, theta_bar)
-        max_chains_ok = True
-        for chain_len in _maximal_chain_lengths(lat, interval, zero_p, theta_bar):
-            if chain_len != 2:
-                max_chains_ok = False
-                break
+        max_chains_ok = all(
+            length == 2 for length in _maximal_chain_lengths(lat, interval, zero_p, theta_bar)
+        )
         covers_delta = [
             q for q in lat.elements if delta < q and not any(delta < r < q for r in lat.elements)
         ]
         delta_prec = covers_delta == [alpha_bar]
         srep = structure_report(lat)
         cmi = any(p == delta for p, _ in srep.completely_meet_irreducibles)
-        items.append(
-            CheckItem(
-                id="height-and-meet-irreducibility",
-                anchor="difference-algebra/height-two",
-                statement="I[0, theta-bar] has height 2, delta is covered only by alpha-bar, "
-                "and delta is completely meet-irreducible",
-                passed=max_chains_ok and delta_prec and cmi,
-                witness=None if max_chains_ok and delta_prec and cmi else (max_chains_ok, delta_prec, cmi),
-            )
-        )
+        check("height-and-meet-irreducibility", "height-two",
+              "I[0, theta-bar] has height 2, delta is covered only by alpha-bar, "
+              "and delta is completely meet-irreducible",
+              None if max_chains_ok and delta_prec and cmi else (max_chains_ok, delta_prec, cmi))
     else:
-        items.append(
-            CheckItem(
-                id="height-and-meet-irreducibility",
-                anchor="difference-algebra/height-two",
-                statement="height-2 and meet-irreducibility facts for minimal theta",
-                passed=None,
-                note="skipped: theta is not minimal",
-            )
-        )
+        skip("height-and-meet-irreducibility", "height-two",
+             "height-2 and meet-irreducibility facts for minimal theta", "theta is not minimal")
 
-    witness = None
     d = da.certificate.d
     n = base.size
-    for blk in theta.blocks:
-        for a in blk:
-            for b in blk:
-                for e in blk:
-                    shifted = d[(a * n + b) * n + e]
-                    if da.project(a, b) != da.project(shifted, e):
-                        witness = (a, b, e)
-                        break
-                if witness:
-                    break
-            if witness:
-                break
-        if witness:
-            break
-    items.append(
-        CheckItem(
-            id="pair-shift-invariance",
-            anchor="difference-algebra/pair-shift",
-            statement="(a, b) and (d(a, b, e), e) fall in the same delta-class",
-            passed=witness is None,
-            witness=witness,
-        )
+    witness = next(
+        (
+            (a, b, e)
+            for blk in theta.blocks for a in blk for b in blk for e in blk
+            if da.project(a, b) != da.project(d[(a * n + b) * n + e], e)
+        ),
+        None,
     )
+    check("pair-shift-invariance", "pair-shift",
+          "(a, b) and (d(a, b, e), e) fall in the same delta-class", witness)
 
-    witness = None
-    for blk in alpha.blocks:
-        classes = sorted({theta.block_of(x) for x in blk})
+    statement = (
+        "ranges within an alpha-class form a directed family whose union (and maximum) "
+        "is the whole derived class group"
+    )
+    if derived_ok:
+        check("ranges-directed-union", "ranges-directed", statement, _ranges_witness(da))
+    else:
+        # the class groups of phi are defined only when the derived congruence check holds
+        skip("ranges-directed-union", "ranges-directed", statement,
+             "the derived congruence check failed")
+
+    idempotent = all(
+        op.table[_diag_index(x, op.arity, n)] == x for op in base.operations for x in range(n)
+    )
+    statement = "idempotent algebra with full centralizer: class sizes are 1 or q"
+    if idempotent and da.theta_minimal and alpha == Partition.one(n):
+        sizes = sorted({len(blk) for blk in theta.blocks})
+        ok = all(s in (1, max(sizes)) for s in sizes)
+        check("idempotent-class-sizes", "idempotent-sizes", statement, None if ok else sizes)
+    else:
+        reason = (
+            "not idempotent"
+            if not idempotent
+            else ("theta not minimal" if not da.theta_minimal else "(0:theta) != 1")
+        )
+        skip("idempotent-class-sizes", "idempotent-sizes", statement, reason)
+    return Report("difference algebra theorems", tuple(items))
+
+
+def _ranges_witness(da: DifferenceAlgebra) -> tuple | None:
+    """An alpha-class whose ranges are not directed, or do not have the whole
+    derived class group as union and maximum; None when there is none."""
+    for blk in da.alpha.blocks:
+        classes = sorted({da.theta.block_of(x) for x in blk})
         ranges = [set(range_of_class(da, c).elements) for c in classes]
         full = set(da.phi.block_of(da.zero_of(blk[0])))
         union = set().union(*ranges)
@@ -673,51 +622,41 @@ def verify_diffalg_theorems(da: DifferenceAlgebra) -> Report:
         )
         has_max = any(r == full for r in ranges)
         if union != full or not directed or not has_max:
-            witness = (blk, union == full, directed, has_max)
-            break
-    items.append(
-        CheckItem(
-            id="ranges-directed-union",
-            anchor="difference-algebra/ranges-directed",
-            statement="ranges within an alpha-class form a directed family whose union (and maximum) "
-            "is the whole derived class group",
-            passed=witness is None,
-            witness=witness,
-        )
-    )
+            return (blk, union == full, directed, has_max)
+    return None
 
-    idempotent = all(
-        op.table[_diag_index(x, op.arity, n)] == x for op in base.operations for x in range(n)
-    )
-    if idempotent and da.theta_minimal and da.alpha == Partition.one(n):
-        sizes = sorted({len(blk) for blk in theta.blocks})
-        q = max(sizes)
-        ok = all(s in (1, q) for s in sizes)
-        items.append(
-            CheckItem(
-                id="idempotent-class-sizes",
-                anchor="difference-algebra/idempotent-sizes",
-                statement="idempotent algebra with full centralizer: class sizes are 1 or q",
-                passed=ok,
-                witness=None if ok else sizes,
-            )
-        )
-    else:
-        reason = (
-            "not idempotent"
-            if not idempotent
-            else ("theta not minimal" if not da.theta_minimal else "(0:theta) != 1")
-        )
-        items.append(
-            CheckItem(
-                id="idempotent-class-sizes",
-                anchor="difference-algebra/idempotent-sizes",
-                statement="idempotent algebra with full centralizer: class sizes are 1 or q",
-                passed=None,
-                note=f"skipped: {reason}",
-            )
-        )
-    return Report("difference algebra theorems", tuple(items))
+
+def _vertical_closure_witness(dh) -> tuple | None:
+    """A horizontal matrix whose vertical mirror is missing, or two stacked
+    matrices whose vertical composite is missing; None when there is none."""
+    dh_set = set(dh)
+    for a, b, c, d in dh:
+        if (b, a, d, c) not in dh_set:
+            return (a, b, c, d)
+    by_top: dict[tuple[int, int], list[tuple[int, int, int, int]]] = {}
+    for m in dh:
+        by_top.setdefault((m[0], m[2]), []).append(m)
+    for a, b, c, d in dh:
+        for _, r, _, s in by_top.get((b, d), ()):
+            if (a, r, c, s) not in dh_set:
+                return (a, b, c, d), (b, r, d, s)
+    return None
+
+
+def _transversal_witness(da: DifferenceAlgebra) -> tuple | None:
+    """The first canonical-transversal fact that fails, with the transversal
+    or the offending pair; None when all hold."""
+    tset = frozenset(da.transversal)
+    if len(tset) != len(da.alpha.blocks):
+        return ("elements collide", da.transversal)
+    if any(len(tset.intersection(blk)) != 1 for blk in da.phi.blocks):
+        return ("not a transversal of phi", da.transversal)
+    if generate_subuniverse(da.algebra, tset) != tset:
+        return ("not a subuniverse", da.transversal)
+    for i, (a, b) in enumerate(da.pair.pairs):
+        if (da.nu(i) in tset) != (a == b):
+            return ("preimage is not the diagonal", (a, b))
+    return None
 
 
 def _diag_index(x: int, arity: int, n: int) -> int:

@@ -1,8 +1,11 @@
+import copy
+import dataclasses
 import itertools
 
 import pytest
 
 from finalg import (
+    ElementMap,
     FiniteAlgebra,
     Partition,
     arrow_graph,
@@ -19,6 +22,7 @@ from finalg import (
     verify_diffalg_theorems,
     verify_wdt,
 )
+from finalg import centrality, diffalg
 
 
 def test_pair_algebra_examples(z4, z2, z4_theta):
@@ -79,9 +83,9 @@ def test_delta_examples(z2, z4, z4_theta, gen1):
         assert delta_congruence(pair, phi).partition == closure
 
 
-def test_delta_with_certificate_checks(z4, cert_z4, z4_theta):
+def test_delta_horizontal_matrices_vertically_symmetric(z4, z4_theta):
     p4 = pair_algebra(z4, z4_theta)
-    dc = delta_congruence(p4, Partition.one(4), certificate=cert_z4)
+    dc = delta_congruence(p4, Partition.one(4))
     # vertical symmetry of the horizontal matrices
     dh = set(dc.horizontal_matrices().matrices)
     assert all((b, a, d, c) in dh for a, b, c, d in dh)
@@ -194,6 +198,14 @@ def test_diffalg_theorem_suite_gen2(gen2, cert_gen2):
     assert item.passed is None and "not idempotent" in item.note
 
 
+def test_si_check_skips_for_non_minimal_theta(z4, cert_z4):
+    # 0 < {0,2|1,3} < 1 in Con(Z4), so theta = 1 is abelian but not minimal
+    rep = verify_diffalg_theorems(difference_algebra(z4, Partition.one(4), cert_z4))
+    assert rep.passed
+    item = rep.item("subdirectly-irreducible")
+    assert item.passed is None and item.note == "skipped: theta is not minimal"
+
+
 def test_idempotent_class_size_law_runs():
     # the affine GF(3) line is idempotent with (0 : theta) = 1
     table = [(x - y + z) % 3 for x, y, z in itertools.product(range(3), repeat=3)]
@@ -213,3 +225,90 @@ def test_ranges_union_is_full_class(gen1, cert_gen1, gen2, cert_gen2):
             for cls in classes:
                 union |= set(range_of_class(da, cls).elements)
             assert union == set(da.phi.block_of(da.zero_of(blk[0])))
+
+
+# The checks that `difference_algebra` leaves to the harness.
+MOVED_CHECKS = (
+    "two-sided-matrices",
+    "horizontal-vertical-closure",
+    "derived-congruence",
+    "canonical-transversal",
+    "class-isomorphism",
+    "subdirectly-irreducible",
+)
+
+
+class Refused(Exception):
+    pass
+
+
+def test_constructor_leaves_matrix_closure_to_the_harness(
+    monkeypatch, gen1, cert_gen1, gen2, cert_gen2, gen3, cert_gen3
+):
+    def refuse(*args, **kwargs):
+        raise Refused
+
+    monkeypatch.setattr(centrality, "generate_matrices", refuse)
+    monkeypatch.setattr(diffalg, "generate_matrices", refuse)
+    for gen, cert in ((gen1, cert_gen1), (gen2, cert_gen2), (gen3, cert_gen3)):
+        da = difference_algebra(gen.algebra, gen.mu, cert)
+        with pytest.raises(Refused):
+            verify_diffalg_theorems(da)
+
+
+@pytest.mark.parametrize("label", ["z4", "gen2"])
+def test_moved_checks_fail_on_a_forged_field(label, z4, z4_theta, cert_z4, gen2, cert_gen2):
+    """Each check moved out of the constructor fails, with a witness, on a
+    copy of D with one field tampered, while every check that does not read
+    that field still passes."""
+    base, theta, cert = {
+        "z4": (z4, z4_theta, cert_z4),
+        "gen2": (gen2.algebra, gen2.mu, cert_gen2),
+    }[label]
+    da = difference_algebra(base, theta, cert)
+    rep = verify_diffalg_theorems(da)
+    assert rep.failures == ()
+    assert all(rep.item(item_id).passed for item_id in MOVED_CHECKS)
+
+    t0 = da.transversal[0]
+    swapped = next(x for x in da.phi.block_of(t0) if x != t0)
+    s, t = da.class_iso.source_size, da.class_iso.target_size
+    phi_readers = {
+        "derived-congruence", "canonical-transversal", "class-isomorphism",
+        "subdirectly-irreducible",
+    }
+    forgeries = [
+        ("transversal", (swapped,) + da.transversal[1:], {"canonical-transversal"}),
+        ("phi", Partition.zero(da.algebra.size), phi_readers),
+        ("class_iso", ElementMap(s, max(t, 2), [0] * s), {"class-isomorphism"}),
+    ]
+    for field, value, failing in forgeries:
+        forged = copy.copy(da)
+        setattr(forged, field, value)
+        forged_rep = verify_diffalg_theorems(forged)
+        assert {it.id for it in forged_rep.failures} == failing, field
+        assert all(it.witness is not None for it in forged_rep.failures), field
+
+
+def test_two_sided_matrix_check_compares(monkeypatch, z4, z4_theta, cert_z4):
+    """M(theta, theta) missing one matrix fails the item, naming that matrix."""
+    real = diffalg.generate_matrices
+
+    def one_short(base, theta, phi):
+        ms = real(base, theta, phi)
+        return dataclasses.replace(ms, matrices=ms.matrices[1:])
+
+    monkeypatch.setattr(diffalg, "generate_matrices", one_short)
+    da = difference_algebra(z4, z4_theta, cert_z4)
+    item = verify_diffalg_theorems(da).item("two-sided-matrices")
+    assert item.passed is False
+    assert item.witness == real(z4, z4_theta, z4_theta).matrices[0]
+
+
+def test_vertical_closure_witnesses():
+    closed = [(a, b, a, b) for a in range(2) for b in range(2)]
+    assert diffalg._vertical_closure_witness(closed) is None
+    assert diffalg._vertical_closure_witness(closed + [(0, 1, 2, 3)]) == (0, 1, 2, 3)
+    # symmetric, but (0, 1, 0, 1) stacked on (1, 2, 1, 2) needs (0, 2, 0, 2)
+    stacked = closed + [(1, 2, 1, 2), (2, 1, 2, 1)]
+    assert diffalg._vertical_closure_witness(stacked) == ((0, 1, 0, 1), (1, 2, 1, 2))

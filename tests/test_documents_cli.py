@@ -258,3 +258,20 @@ def test_cli_parser_is_reused_across_commands(tmp_path, z4, s2, z4_theta):
     assert in_sequence == fresh
     assert [code for code, _ in fresh] == [0, 1, 1, 2, 0, 2, 0, 0, 0, 0, 0]
     assert cli._build_parser() is cli._build_parser()
+
+
+def test_cli_cap_is_enforced_or_rejected(tmp_path, z4, z4_theta):
+    """`con --cap` bounds the congruence lattice; commands with no cap to
+    apply do not accept the option."""
+    z4_path = tmp_path / "z4.alg"
+    z4_path.write_text(serialize_algebra(z4, labels={"theta": z4_theta}))
+    code, text = run_command(["con", "--in", str(z4_path), "--cap", "1"])
+    assert code == 2
+    assert "error: cap 'congruence lattice' exceeded (1)" in text
+    for argv in (
+        ["centralizer", "--delta", "zero", "--theta", "theta"],
+        ["abelian", "--theta", "theta"],
+        ["wdt-verify", "--d", "p"],
+    ):
+        assert run_command(argv + ["--in", str(z4_path), "--cap", "5"]) == (2, "")
+        assert run_command(argv + ["--in", str(z4_path)])[0] == 0
