@@ -742,97 +742,114 @@ def unary_polynomials(
 
 
 # ---------------------------------------------------------------------------
-# Isomorphism search.
+# Homomorphism search.
 # ---------------------------------------------------------------------------
 
 
-def _iso_invariants(algebra: FiniteAlgebra):
-    """Cheap isomorphism invariants: per-element vectors (unary in-degrees,
-    diagonal-fixed flags, 1-generated subuniverse size), the count of elements
-    fixed by every diagonal, and the multiset of 1-generated subuniverse
-    sizes."""
-    n = algebra.size
-    per_element = []
-    idem = 0
-    for x in range(n):
-        vec = []
-        all_fixed = True
-        for op in algebra.operations:
-            tab = op.array()
-            if op.arity == 1:
-                vec.append(int(np.sum(tab == x)))
-            diag = x
-            for _ in range(op.arity - 1):
-                diag = diag * n + x
-            fixed = op.table[diag] == x
-            all_fixed = all_fixed and fixed
-            vec.append(1 if fixed else 0)
-        vec.append(len(generate_subuniverse(algebra, [x])))
-        per_element.append(tuple(vec))
-        if all_fixed:
-            idem += 1
-    return per_element, idem, tuple(sorted(v[-1] for v in per_element))
+def _homomorphisms(
+    a: FiniteAlgebra, b: FiniteAlgebra, allowed: np.ndarray, *, injective: bool = False
+) -> Iterable[tuple[int, ...]]:
+    """Every homomorphism h: a -> b of one signature with h(x) in the
+    allowed images of x (row x of the boolean matrix `allowed`), and
+    injective if asked, as image tuples in lexicographic order.
+
+    Elements with one allowed image are assigned first.  Each step then
+    branches on the least element whose image is not yet forced and tries
+    its allowed images in ascending order.  After every assignment, each
+    operation instance whose arguments all have images, one of them new,
+    forces the image of its result (a mask over the argument tuples picks
+    the instances, one gather per arity), and a conflict ends the branch.  The assigned elements are thus always the subuniverse generated
+    by the branch points and the singly allowed elements, so the branching
+    runs over the images of a greedy generating set only, and every element
+    below a branch point already has its image: maps come out in
+    lexicographic order.
+    """
+    na, nb = a.size, b.size
+    by_arity: dict[int, tuple[list, list]] = {}
+    for op_a, op_b in zip(a.operations, b.operations):
+        ta, tb = by_arity.setdefault(op_a.arity, ([], []))
+        ta.append(op_a.array())
+        tb.append(op_b.array())
+    # per arity: every argument tuple of a (row i is the i-th row-major
+    # tuple), place values of b, and one table per algebra with a column
+    # per operation
+    plan = [
+        (
+            np.indices((na,) * k).reshape(k, -1).T,
+            nb ** np.arange(k - 1, -1, -1),
+            np.stack(ta, 1),
+            np.stack(tb, 1),
+        )
+        for k, (ta, tb) in sorted(by_arity.items())
+    ]
+
+    owner = np.zeros(nb, dtype=np.int64)  # scratch: which element took each image
+
+    def settle(images: np.ndarray, used: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> bool:
+        """Assign xs -> ys and all that they force; False on a conflict."""
+        while xs.size:
+            current = images[xs]
+            known = current >= 0
+            if (current[known] != ys[known]).any():
+                return False
+            xs, ys = xs[~known], ys[~known]
+            if not xs.size:
+                break
+            if not allowed[xs, ys].all():
+                return False
+            if injective:
+                if used[ys].any():
+                    return False
+                used[ys] = True
+                owner[ys] = xs
+                if (owner[ys] != xs).any():  # two elements forced onto one image
+                    return False
+            images[xs] = ys
+            if (images[xs] != ys).any():  # two images forced on one element
+                return False
+            assigned = images >= 0
+            new = np.zeros(na, dtype=bool)
+            new[xs] = True
+            out_x, out_y = [xs[:0]], [ys[:0]]
+            for args, place, ta, tb in plan:
+                hit = assigned[args].all(1) & new[args].any(1)
+                out_x.append(ta[hit].ravel())
+                out_y.append(tb[images[args[hit]] @ place].ravel())
+            xs, ys = np.concatenate(out_x), np.concatenate(out_y)
+        return True
+
+    def branch(images: np.ndarray, used: np.ndarray):
+        free = np.flatnonzero(images < 0)
+        if not free.size:
+            yield tuple(images.tolist())
+            return
+        x = free[:1]
+        for y in np.flatnonzero(allowed[x[0]]):
+            trial, trial_used = images.copy(), used.copy()
+            if settle(trial, trial_used, x, np.array([y])):
+                yield from branch(trial, trial_used)
+
+    images = np.full(na, -1, dtype=np.int64)
+    used = np.zeros(nb, dtype=bool)
+    single = np.flatnonzero(allowed.sum(axis=1) == 1)
+    if settle(images, used, single, allowed[single].argmax(axis=1)):
+        yield from branch(images, used)
 
 
 def find_isomorphism(a: FiniteAlgebra, b: FiniteAlgebra) -> ElementMap | None:
-    """Search for an isomorphism a -> b; None certifies there is none.
+    """The lexicographically least isomorphism a -> b, or None when there
+    is none.
 
-    Backtracking assigns images in ascending element order with ascending
-    candidates, so the first solution found is the lexicographically least
-    one.  Pruning uses per-element invariant vectors, the idempotent count,
-    and the multiset of 1-generated subuniverse sizes.
+    The first map of the homomorphism search with every image allowed and
+    injectivity required; a bijective homomorphism of finite algebras is an
+    isomorphism.  The search yields maps in lexicographic order of their
+    images, so the first one is the least.
     """
-    if a.signature() != b.signature():
+    if a.signature() != b.signature() or a.size != b.size:
         return None
-    if a.size != b.size:
-        return None
-    inv_a, idem_a, subs_a = _iso_invariants(a)
-    inv_b, idem_b, subs_b = _iso_invariants(b)
-    if idem_a != idem_b or subs_a != subs_b:
-        return None
-    if sorted(inv_a) != sorted(inv_b):
-        return None
-
-    n = a.size
-    ops = [(op_a.table, op_b.table, op_a.arity) for op_a, op_b in zip(a.operations, b.operations)]
-    images = [-1] * n
-    used = [False] * n
-
-    def consistent(upto: int) -> bool:
-        # check all op instances whose arguments are assigned and <= upto
-        for tab_a, tab_b, k in ops:
-            for args in itertools.product(range(upto + 1), repeat=k):
-                ia = 0
-                ib = 0
-                for x in args:
-                    ia = ia * n + x
-                    ib = ib * n + images[x]
-                res = tab_a[ia]
-                if res <= upto:
-                    if images[res] != tab_b[ib]:
-                        return False
-                elif used[tab_b[ib]] and images[res] != tab_b[ib]:
-                    return False
-        return True
-
-    def extend(x: int) -> bool:
-        if x == n:
-            return True
-        for y in range(n):
-            if used[y] or inv_a[x] != inv_b[y]:
-                continue
-            images[x] = y
-            used[y] = True
-            if consistent(x) and extend(x + 1):
-                return True
-            images[x] = -1
-            used[y] = False
-        return False
-
-    if not extend(0):
-        return None
-    h = ElementMap(n, n, images)
-    return h
+    allowed = np.ones((a.size, b.size), dtype=bool)
+    images = next(_homomorphisms(a, b, allowed, injective=True), None)
+    return None if images is None else ElementMap(a.size, b.size, images)
 
 
 def _unpreserved_operation(a: FiniteAlgebra, b: FiniteAlgebra, images: np.ndarray) -> str | None:

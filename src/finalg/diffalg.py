@@ -300,6 +300,8 @@ def range_of_class(da: DifferenceAlgebra, theta_class) -> RangeSubgroup:
     mset = set(members)
     if zero not in mset:
         raise InconsistencyError("range misses the canonical zero")
+    if not mset <= set(grp.elements):
+        raise InconsistencyError("range leaves the phi-class of the canonical zero")
     for x in members:
         if grp.neg(x) not in mset:
             raise InconsistencyError("range not closed under negation")

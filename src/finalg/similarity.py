@@ -19,10 +19,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+import numpy as np
+
 from .core import (
-    CapExceededError,
     ElementMap,
     FiniteAlgebra,
+    _homomorphisms,
     _materialize,
     _restricted_results,
     closure_in_power,
@@ -55,71 +57,13 @@ from .report import CheckItem, Report
 # ---------------------------------------------------------------------------
 
 
-ENDOMORPHISM_SEARCH_CAP = 10**7
-
-
-def _endomorphisms_fixing(algebra: FiniteAlgebra, phi: Partition, tset: frozenset[int]):
-    """All endomorphisms fixing `tset` pointwise and preserving phi.
-
-    Any such map sends each phi-class into itself, so the search assigns one
-    class element per element, backtracking with incremental checks of every
-    operation instance whose arguments are already assigned.
-    """
-    space = 1
-    for blk in phi.blocks:
-        space *= len(blk) ** max(0, len(blk) - 1)
-        if space > ENDOMORPHISM_SEARCH_CAP:
-            raise CapExceededError("endomorphism enumeration", ENDOMORPHISM_SEARCH_CAP)
-    n = algebra.size
-    images = [-1] * n
-    for e in tset:
-        images[e] = e
-    todo = [x for x in range(n) if images[x] < 0]
-    ops = [(op.arity, op.table) for op in algebra.operations]
-    found: list[ElementMap] = []
-
-    assigned: list[int] = sorted(tset)
-
-    def consistent(recent: int) -> bool:
-        for k, tab in ops:
-            for args in itertools.product(assigned, repeat=k):
-                if recent not in args:
-                    continue
-                idx = 0
-                jdx = 0
-                for x in args:
-                    idx = idx * n + x
-                    jdx = jdx * n + images[x]
-                val = tab[idx]
-                if images[val] >= 0 and images[val] != tab[jdx]:
-                    return False
-            # instances whose *result* just became constrained
-            for args in itertools.product(assigned, repeat=k):
-                idx = 0
-                jdx = 0
-                for x in args:
-                    idx = idx * n + x
-                    jdx = jdx * n + images[x]
-                val = tab[idx]
-                if val == recent and images[val] != tab[jdx]:
-                    return False
-        return True
-
-    def extend(i: int):
-        if i == len(todo):
-            found.append(ElementMap(n, n, list(images)))
-            return
-        x = todo[i]
-        for y in phi.block_of(x):
-            images[x] = y
-            assigned.append(x)
-            if consistent(x):
-                extend(i + 1)
-            assigned.pop()
-            images[x] = -1
-
-    extend(0)
-    return sorted(found)
+def _kept_in_blocks(partition: Partition, fixed) -> np.ndarray:
+    """The allowed images of a map that sends each element into its block
+    and fixes `fixed` pointwise, as a boolean matrix for `_homomorphisms`."""
+    fixed = sorted(fixed)
+    allowed = np.equal.outer(partition.index, partition.index)
+    allowed[fixed] = np.eye(partition.size, dtype=bool)[fixed]
+    return allowed
 
 
 class EndomorphismRing:
@@ -177,6 +121,11 @@ def division_ring(
 ) -> EndomorphismRing:
     """Build and fully verify the division ring for (algebra, phi, T).
 
+    The carrier is every endomorphism that fixes T pointwise and keeps each
+    element in its phi-class, found by the homomorphism search of `core`
+    (which branches only on the images of a greedy generating set over T),
+    in lexicographic order of the images.
+
     Preconditions checked: phi is a minimal abelian congruence and T is a
     subuniverse transversal for phi.  Verified afterwards: closure of the
     carrier under +, -, composition; unital ring axioms; invertibility of
@@ -197,7 +146,8 @@ def division_ring(
         raise ValueError("T is not a subuniverse")
 
     n = algebra.size
-    carrier = tuple(_endomorphisms_fixing(algebra, phi, tset))
+    maps = _homomorphisms(algebra, algebra, _kept_in_blocks(phi, tset))
+    carrier = tuple(ElementMap(n, n, h) for h in maps)
     pos = {em: i for i, em in enumerate(carrier)}
     rep = {}
     for blk in phi.blocks:
@@ -443,36 +393,28 @@ def freese_ring(
 
     groups = [class_group(algebra, certificate, theta, e) for e in base_points]
 
-    # group endomorphisms of each class group
-    endos_per_class = []
-    for grp, blk in zip(groups, classes):
-        cls = list(blk)
-        cands = []
-        others = [x for x in cls if x != grp.zero]
-        for choice in itertools.product(cls, repeat=len(others)):
-            img = {grp.zero: grp.zero}
-            img.update(dict(zip(others, choice)))
-            if all(
-                img[grp.add(x, y)] == grp.add(img[x], img[y]) for x in cls for y in cls
-            ):
-                cands.append(tuple(img[x] for x in cls))
-        endos_per_class.append(sorted(cands))
-
-    def commutes(tup) -> bool:
-        for (i, j), rs in restrictions.items():
-            ci, cj = classes[i], classes[j]
-            for r in rs:
-                for p, x in enumerate(cj):
-                    # lambda_i(r(x)) == r(lambda_j(x))
-                    lhs = tup[i][ci.index(r[p])]
-                    rhs = r[cj.index(tup[j][p])]
-                    if lhs != rhs:
-                        return False
-        return True
-
-    carrier = tuple(
-        tup for tup in itertools.product(*endos_per_class) if commutes(tup)
-    )
+    # The carrier: the endomorphisms of an auxiliary algebra on A that fix
+    # the base points and keep each element in its class.  Its ternary m is
+    # d within a class and the first projection across classes, so on each
+    # class they are exactly the endomorphisms of the class group; each
+    # restriction r: C_j -> C_i, extended by the identity off C_j, is a
+    # unary operation, so they commute with every restriction.
+    n = algebra.size
+    labels = np.asarray(theta.index)
+    xs, ys, zs = np.indices((n, n, n))
+    within = (labels[xs] == labels[ys]) & (labels[ys] == labels[zs])
+    ops = [("m", 3, np.where(within, np.reshape(certificate.d, (n, n, n)), xs).ravel().tolist())]
+    for (i, j), rs in restrictions.items():
+        for r in rs:
+            table = list(range(n))
+            for x, rx in zip(classes[j], r):
+                table[x] = rx
+            ops.append((f"r{len(ops)}", 1, table))
+    aux = FiniteAlgebra(n, ops)
+    carrier = tuple(sorted(
+        tuple(tuple(h[x] for x in blk) for blk in classes)
+        for h in _homomorphisms(aux, aux, _kept_in_blocks(theta, base_points))
+    ))
     pos = {t: i for i, t in enumerate(carrier)}
 
     def add_tuples(s, t):

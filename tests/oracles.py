@@ -15,6 +15,10 @@ Con(A) the library used before its tables became lazy, on restricted-growth
 label tuples of its own.  `reference_restrict`, `reference_quotient` and
 `reference_is_homomorphism` are the per-tuple loops that built traces,
 checked bridges, quotients and homomorphisms before the one materializer.
+`reference_endomorphisms_fixing`, `reference_find_isomorphism` and
+`reference_freese_carrier` are the backtracks and the brute force that found
+division-ring carriers, isomorphisms and Freese-ring carriers before the one
+homomorphism search.
 """
 
 from __future__ import annotations
@@ -597,3 +601,111 @@ def reference_is_homomorphism(a: FiniteAlgebra, b: FiniteAlgebra, images) -> boo
             if images[op_a.table[ia]] != op_b.table[ib]:
                 return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# The three hand-written searches that the one homomorphism search
+# `core._homomorphisms` replaced: the backtracks of the division ring's
+# carrier (`reference_endomorphisms_fixing`) and of `find_isomorphism`
+# (`reference_find_isomorphism`, without its invariant pruning), and the
+# Freese ring's per-class group endomorphisms filtered by commuting with
+# every restriction (`reference_freese_carrier`).  Algebras are given as
+# (arity, flat table) pairs, a nullary table holding its one constant.
+# ---------------------------------------------------------------------------
+
+
+def _preserves(n, m, ops_a, ops_b, images, done) -> bool:
+    """h(op(args)) == op(h(args)) on every instance whose arguments and
+    result all lie in `done` (m is the size of the target)."""
+    for (k, tab_a), (_, tab_b) in zip(ops_a, ops_b):
+        for args in itertools.product(done, repeat=k):
+            ia = ib = 0
+            for x in args:
+                ia = ia * n + x
+                ib = ib * m + images[x]
+            res = tab_a[ia]
+            if res in done and images[res] != tab_b[ib]:
+                return False
+    return True
+
+
+def reference_endomorphisms_fixing(n: int, ops, blocks, fixed) -> list[tuple[int, ...]]:
+    """Every endomorphism that fixes `fixed` pointwise and sends each element
+    into its block, as sorted image tuples: backtracking in element order
+    over the block of each unfixed element, checking every instance whose
+    arguments and result are assigned."""
+    block_of = {x: tuple(blk) for blk in blocks for x in blk}
+    images = {x: x for x in fixed}
+    todo = [x for x in range(n) if x not in images]
+    found = []
+
+    def extend(i: int):
+        if i == len(todo):
+            found.append(tuple(images[x] for x in range(n)))
+            return
+        x = todo[i]
+        for y in block_of[x]:
+            images[x] = y
+            if _preserves(n, n, ops, ops, images, set(images)):
+                extend(i + 1)
+            del images[x]
+
+    if _preserves(n, n, ops, ops, images, set(images)):
+        extend(0)
+    return sorted(found)
+
+
+def reference_find_isomorphism(n: int, ops_a, ops_b) -> tuple[int, ...] | None:
+    """The first isomorphism found by backtracking over images in ascending
+    element order with ascending distinct candidates, which is the
+    lexicographically least one; None when there is none.  The operations
+    must match in arity."""
+    images: dict[int, int] = {}
+
+    def extend(x: int):
+        if x == n:
+            return tuple(images[y] for y in range(n))
+        for y in range(n):
+            if y in images.values():
+                continue
+            images[x] = y
+            if _preserves(n, n, ops_a, ops_b, images, set(images)):
+                found = extend(x + 1)
+                if found is not None:
+                    return found
+            del images[x]
+        return None
+
+    return extend(0)
+
+
+def reference_freese_carrier(n: int, d, classes, base_points, restrictions) -> tuple:
+    """The Freese ring's carrier: tuples with one endomorphism per class
+    group (x + y = d(x, e, y) with zero the class's base point e), each an
+    image tuple over the class, that commute with every restriction
+    r: C_j -> C_i in `restrictions[(i, j)]` (an image tuple over C_j), in
+    lexicographic order."""
+
+    def add(e, x, y):
+        return d[(x * n + e) * n + y]
+
+    endos = []
+    for cls, e in zip(classes, base_points):
+        cands = []
+        others = [x for x in cls if x != e]
+        for choice in itertools.product(cls, repeat=len(others)):
+            img = {e: e, **dict(zip(others, choice))}
+            if all(img[add(e, x, y)] == add(e, img[x], img[y]) for x in cls for y in cls):
+                cands.append(tuple(img[x] for x in cls))
+        endos.append(sorted(cands))
+
+    def commutes(tup) -> bool:
+        for (i, j), rs in restrictions.items():
+            ci, cj = list(classes[i]), list(classes[j])
+            for r in rs:
+                for p in range(len(cj)):
+                    if tup[i][ci.index(r[p])] != r[cj.index(tup[j][p])]:
+                        return False
+        return True
+
+    return tuple(tup for tup in itertools.product(*endos) if commutes(tup))

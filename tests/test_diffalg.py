@@ -7,6 +7,7 @@ import pytest
 from finalg import (
     ElementMap,
     FiniteAlgebra,
+    InconsistencyError,
     Partition,
     arrow_graph,
     centralizer,
@@ -162,6 +163,17 @@ def test_ranges_gen2(gen2, cert_gen2):
     small = range_of_class(da, gen2.sort_elements[1])
     assert len(big.elements) == 4 and len(small.elements) == 2
     assert set(small.elements) < set(big.elements)
+
+
+def test_range_outside_the_zero_class_is_internal(z4, z4_theta, cert_z4):
+    """With phi forged to the zero partition, the range of a theta-class
+    leaves the phi-class of the canonical zero: an internal inconsistency,
+    not a KeyError that the CLI would report as an input error."""
+    da = difference_algebra(z4, z4_theta, cert_z4)
+    forged = copy.copy(da)
+    forged.phi = Partition.zero(da.algebra.size)
+    with pytest.raises(InconsistencyError, match="leaves the phi-class"):
+        range_of_class(forged, z4_theta.blocks[0])
 
 
 def test_arrow_graph_examples(z4, cert_z4, z4_theta, gen2, cert_gen2):

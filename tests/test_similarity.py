@@ -237,3 +237,27 @@ def test_perspectivity_transfer_in_pair_algebra(z4, cert_z4, z4_theta):
         pa.algebra, (zero, pa.eta1), (pa.eta2, theta_bar), cert_pair
     )
     assert transfer.isomorphism.is_bijective()
+
+
+def test_division_ring_of_one_nine_element_class(tmp_path):
+    """GF(3)^2 with no range subspace: D has a single 9-element phi-block, so
+    maps into the blocks number 9^8 over T, yet the division ring is GF(3)
+    and the generated algebra's claims all pass."""
+    import json
+
+    from finalg import run_command
+    from finalg.generator import config_from_dict, generate_example
+
+    config = {"field": {"p": 3, "k": 1}, "dims": [2], "subspaces": [[]]}
+    gen = generate_example(config_from_dict(config))
+    cert = certificate_from_operation(gen.algebra, "d")
+    da = difference_algebra(gen.algebra, gen.mu, cert)
+    assert sorted(len(blk) for blk in da.phi.blocks) == [9]
+    ring = division_ring(da.algebra, da.phi, da.transversal, da.certificate_d)
+    assert len(ring) == 3
+
+    cfg, doc = tmp_path / "nine.cfg", tmp_path / "nine.alg"
+    cfg.write_text(json.dumps(config))
+    assert run_command(["generate", "--config", str(cfg), "--out", str(doc)])[0] == 0
+    code, text = run_command(["verify-claims", "--in", str(doc)])
+    assert code == 0, text
