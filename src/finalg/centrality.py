@@ -43,10 +43,11 @@ from typing import Iterable
 import numpy as np
 
 from . import core
-from .core import DEFAULT_CLOSURE_CAP, FiniteAlgebra, Quotient, closure_in_power, quotient
+from .core import (
+    DEFAULT_CLOSURE_CAP, CapExceededError, FiniteAlgebra, Quotient, closure_in_power, quotient
+)
 from .congruences import (
     Partition,
-    _distinct,
     _generate_congruence,
     _pair_translations,
     compose_relations,
@@ -140,16 +141,18 @@ def seed_matrices(algebra: FiniteAlgebra, theta, phi) -> list[tuple[int, int, in
 def generate_matrices(
     algebra: FiniteAlgebra, theta, phi, *, cap: int = DEFAULT_CLOSURE_CAP
 ) -> MatrixSet:
-    """M(theta, phi): close X(theta, phi) under all operations entrywise."""
-    key = ("matrices", theta, phi)
-    cached = algebra._cache.get(key)
-    if cached is not None:
-        return cached
-    members, _ = closure_in_power(
-        algebra, 4, seed_matrices(algebra, theta, phi), cap=cap, cap_name="matrix set"
-    )
-    ms = MatrixSet(algebra, theta, phi, "M", tuple(members))
-    algebra._cache[key] = ms
+    """M(theta, phi): close X(theta, phi) under all operations entrywise.
+    Raises `CapExceededError` when |M(theta, phi)| > cap, on a memo hit too."""
+
+    def build() -> MatrixSet:
+        members, _ = closure_in_power(
+            algebra, 4, seed_matrices(algebra, theta, phi), cap=cap, cap_name="matrix set"
+        )
+        return MatrixSet(algebra, theta, phi, "M", tuple(members))
+
+    ms = core._memo(algebra, (MatrixSet, theta, phi), build)
+    if len(ms) > cap:
+        raise CapExceededError("matrix set", cap)
     return ms
 
 
@@ -189,21 +192,17 @@ def generated_pair_congruence(
     return pairs, Partition.from_labels(len(pairs), roots.tolist())
 
 
+@core._memoized
 def diagonal_pair_congruence(algebra: FiniteAlgebra, theta: Partition, phi: Partition):
     """Delta: the congruence of the pair algebra of theta generated by the
     diagonal pairs of phi, which is the transitive closure of M(theta, phi)
     read as a relation on theta-pairs.  Returns (pair_list, partition on
-    pair indices), cached on the algebra."""
-    key = ("pair_delta", theta, phi)
-    cached = algebra._cache.get(key)
-    if cached is not None:
-        return cached
+    pair indices), memoized on the algebra."""
     seeds = (((x, x), (y, y)) for x, y in phi.pairs() if x <= y)
-    result = generated_pair_congruence(algebra, theta, seeds)
-    algebra._cache[key] = result
-    return result
+    return generated_pair_congruence(algebra, theta, seeds)
 
 
+@core._memoized
 def centralizes(
     algebra: FiniteAlgebra, phi: Partition, theta: Partition, delta: Partition
 ) -> CentralityVerdict:
@@ -215,21 +214,14 @@ def centralizes(
     failing verdict's witness is the first class, in block order, that
     mixes a pair in delta with one outside it.
     """
-    key = ("centralizes", phi, theta, delta)
-    cached = algebra._cache.get(key)
-    if cached is not None:
-        return cached
     pairs, part = diagonal_pair_congruence(algebra, theta, phi)
-    verdict = CentralityVerdict(True, None)
     for blk in part.blocks:
         label0 = delta.related(*pairs[blk[0]])
         odd = next((i for i in blk[1:] if delta.related(*pairs[i]) != label0), None)
         if odd is not None:
             p, q = (pairs[blk[0]], pairs[odd]) if label0 else (pairs[odd], pairs[blk[0]])
-            verdict = CentralityVerdict(False, (p[0], p[1], q[0], q[1]))
-            break
-    algebra._cache[key] = verdict
-    return verdict
+            return CentralityVerdict(False, (p[0], p[1], q[0], q[1]))
+    return CentralityVerdict(True, None)
 
 
 def is_abelian(algebra: FiniteAlgebra, theta: Partition, delta: Partition | None = None) -> bool:
@@ -255,20 +247,17 @@ def _refine(labels: np.ndarray, images, salt: np.ndarray | None) -> np.ndarray:
                 new = np.unique(block, axis=0, return_inverse=True)[1].reshape(-1)
             else:
                 new = new + salt[1 + lo : 1 + lo + len(img)] @ labels[img]
-        keys = _distinct(new)
+        keys = core._distinct(new)
         if len(keys) <= count:
             return np.searchsorted(keys, new)
         labels, count = np.searchsorted(keys, new), len(keys)
 
 
+@core._memoized
 def centralizer(algebra: FiniteAlgebra, delta: Partition, theta: Partition) -> Partition:
     """(delta : theta): the largest congruence phi with C(phi, theta; delta),
     read off core(pi_delta) as the module docstring shows.  Raises
     ValueError when theta or delta is not a congruence."""
-    key = ("centralizer", delta, theta)
-    cached = algebra._cache.get(key)
-    if cached is not None:
-        return cached
     if delta.rank and not is_congruence(algebra, delta):
         raise ValueError(f"{delta!r} is not a congruence of the algebra")
     n = algebra.size
@@ -305,9 +294,7 @@ def centralizer(algebra: FiniteAlgebra, delta: Partition, theta: Partition) -> P
             break
     else:
         raise InconsistencyError("exact refinement is not stable inside pi_delta")
-    result = Partition.from_labels(n, labels[cls[pos[np.arange(n) * (n + 1)]]].tolist())
-    algebra._cache[key] = result
-    return result
+    return Partition.from_labels(n, labels[cls[pos[np.arange(n) * (n + 1)]]].tolist())
 
 
 @dataclass(frozen=True)
@@ -319,15 +306,12 @@ class TwoTermVerdict:
         return self.holds
 
 
+@core._memoized
 def two_term_condition(algebra: FiniteAlgebra, theta: Partition) -> TwoTermVerdict:
     """Two matrices of M(theta, theta) agreeing in three entries agree in all
     four.  The check runs during generation, so a failing congruence aborts
     at the first conflicting pair; a passing verdict is exhaustive over the
     fully generated matrix set."""
-    key = ("two_term", theta)
-    cached = algebra._cache.get(key)
-    if cached is not None:
-        return cached
     seen: dict[tuple[int, int, int], int] = {}
     conflict: list = []
 
@@ -340,20 +324,13 @@ def two_term_condition(algebra: FiniteAlgebra, theta: Partition) -> TwoTermVerdi
                 return i
         return None
 
-    members, witness = closure_in_power(
+    _, witness = closure_in_power(
         algebra, 4, seed_matrices(algebra, theta, theta),
         cap_name="matrix set", violation=check,
     )
     if witness is not None:
-        verdict = TwoTermVerdict(False, conflict[0])
-    else:
-        verdict = TwoTermVerdict(True, None)
-        algebra._cache.setdefault(
-            ("matrices", theta, theta),
-            MatrixSet(algebra, theta, theta, "M", tuple(members)),
-        )
-    algebra._cache[key] = verdict
-    return verdict
+        return TwoTermVerdict(False, conflict[0])
+    return TwoTermVerdict(True, None)
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,6 @@ from .diffterm import (
     certificate_from_operation,
     check_wdt_laws,
     search_wdt,
-    verify_wdt,
 )
 from .diffalg import (
     arrow_graph,
@@ -389,10 +388,7 @@ def _dispatch(args) -> tuple[int, Report]:
         scope = tuple(
             {"A": 1, "A2": 2, "A3": 3}[part.strip()] for part in args.scope.split(",")
         )
-        op = algebra.operation(args.d)
-        if op.arity != 3:
-            raise DocumentError(f"operation '{args.d}' is not ternary")
-        cert = verify_wdt(algebra, op.table, scope=scope, provenance=f"basic operation '{args.d}'")
+        cert = certificate_from_operation(algebra, args.d, scope=scope)
         items = [
             CheckItem(
                 id="wdt-verify",

@@ -25,6 +25,7 @@ relation are built in numpy only when first read.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import deque
 from dataclasses import dataclass
@@ -224,15 +225,7 @@ def compose_relations(p: Partition, q: Partition) -> frozenset[tuple[int, int]]:
 # ---------------------------------------------------------------------------
 
 
-def _distinct(codes: np.ndarray) -> np.ndarray:
-    """The distinct values of an int64 array, sorted.  A sort and a mask: on
-    int64 this is several times faster than `np.unique` at numpy 2.4."""
-    codes = np.sort(codes)
-    keep = np.ones(len(codes), dtype=bool)
-    np.not_equal(codes[1:], codes[:-1], out=keep[1:])
-    return codes[keep]
-
-
+@core._memoized
 def _base_translations(algebra: FiniteAlgebra):
     """(table, ids): the distinct unary basic translations of the algebra
     as the rows of one (t, n) table, and for each operation and slot the
@@ -242,9 +235,6 @@ def _base_translations(algebra: FiniteAlgebra):
     A basic translation fixes one argument slot of a basic operation and
     fills the others with parameters.
     """
-    cached = algebra._cache.get("translations")
-    if cached is not None:
-        return cached
     n = algebra.size
     blocks = [
         np.moveaxis(op.array().reshape((n,) * op.arity), slot, -1).reshape(-1, n)
@@ -261,9 +251,7 @@ def _base_translations(algebra: FiniteAlgebra):
         for _ in range(op.arity):
             ids.append((op.arity, inverse[start : start + n ** (op.arity - 1)]))
             start += n ** (op.arity - 1)
-    result = (table, ids)
-    algebra._cache["translations"] = result
-    return result
+    return table, ids
 
 
 def _pair_translations(algebra: FiniteAlgebra, theta: Partition | None):
@@ -283,13 +271,14 @@ def _pair_translations(algebra: FiniteAlgebra, theta: Partition | None):
     constant, or the identity twice) are dropped.  A theta of rank 0 shares
     the entry of None; a theta that is not a congruence raises ValueError.
     """
-    n = algebra.size
-    if theta is not None and theta.rank == 0 and theta.size == n:
+    if theta is not None and theta.rank == 0 and theta.size == algebra.size:
         theta = None
-    key = ("pair_translations", theta)
-    cached = algebra._cache.get(key)
-    if cached is not None:
-        return cached
+    return _memoized_pair_translations(algebra, theta)
+
+
+@core._memoized
+def _memoized_pair_translations(algebra: FiniteAlgebra, theta: Partition | None):
+    n = algebra.size
     if theta is not None and not is_congruence(algebra, theta):
         raise ValueError(f"{theta!r} is not a congruence of the algebra")
     table, ids = _base_translations(algebra)
@@ -319,15 +308,13 @@ def _pair_translations(algebra: FiniteAlgebra, theta: Partition | None):
                 c0 += p0[digit] * scale
                 c1 += p1[digit] * scale
                 scale *= n
-            codes = _distinct(np.concatenate((codes, row_ids[c0] * t + row_ids[c1])))
+            codes = core._distinct(np.concatenate((codes, row_ids[c0] * t + row_ids[c1])))
     i, j = np.divmod(codes, t)
     const = (table == table[:, :1]).all(axis=1)
     ident = (table == np.arange(n)).all(axis=1)
     live = ~((const[i] & const[j]) | (ident[i] & ident[j]))
     flat = table.ravel()
-    result = (pairs, pos, p0, p1, flat * n, flat, (i[live] * n)[:, None], (j[live] * n)[:, None])
-    algebra._cache[key] = result
-    return result
+    return pairs, pos, p0, p1, flat * n, flat, (i[live] * n)[:, None], (j[live] * n)[:, None]
 
 
 def _generate_congruence(
@@ -393,7 +380,7 @@ def _generate_congruence(
             iu, iv = img[:, :e], img[:, e:]
             differ = iu != iv
             codes = np.minimum(iu, iv)[differ] * m + np.maximum(iu, iv)[differ]
-            found = _distinct(np.concatenate((found, codes)))
+            found = core._distinct(np.concatenate((found, codes)))
         pending = found.tolist()
     return pairs, roots
 
@@ -417,17 +404,13 @@ def principal_congruence(algebra: FiniteAlgebra, a: int, b: int) -> Partition:
     return congruence_generated(algebra, [(a, b)])
 
 
+@core._memoized
 def _distinct_principal_congruences(algebra: FiniteAlgebra) -> list[Partition]:
-    cached = algebra._cache.get("principals")
-    if cached is not None:
-        return cached
     found: dict[Partition, None] = {}
     for a in range(algebra.size):
         for b in range(a + 1, algebra.size):
             found.setdefault(principal_congruence(algebra, a, b))
-    out = sorted(found, key=lambda p: (p.rank, p.blocks))
-    algebra._cache["principals"] = out
-    return out
+    return sorted(found, key=lambda p: (p.rank, p.blocks))
 
 
 @dataclass(frozen=True)
@@ -445,30 +428,26 @@ class CongruenceLattice:
     built in numpy on first use and then kept.
     """
 
-    __slots__ = ("algebra", "elements", "_pos", "_leq", "_leq_rows", "_join", "_meet", "_covers")
-
     def __init__(self, algebra: FiniteAlgebra, elements: Sequence[Partition]):
         self.algebra = algebra
         self.elements = tuple(sorted(elements, key=lambda p: (p.rank, p.blocks)))
         self._pos = {p: i for i, p in enumerate(self.elements)}
-        self._leq = self._leq_rows = self._join = self._meet = self._covers = None
 
-    def _leq_array(self) -> np.ndarray:
+    @functools.cached_property
+    def _leq(self) -> np.ndarray:
         """leq[p, q] iff p <= q: the meet code idx[p] * n + idx[q] takes as
         many values as p has blocks exactly when each block of p lies in one
         block of q.  Sliced by rows of p within `core._CHUNK_CELLS`."""
-        if self._leq is None:
-            m, n = len(self.elements), self.algebra.size
-            idx = np.array([p.index for p in self.elements], dtype=np.int64)
-            nblocks = np.array([len(p.blocks) for p in self.elements], dtype=np.int64)
-            leq = np.empty((m, m), dtype=bool)
-            step = max(1, core._CHUNK_CELLS // max(1, 2 * m * n))
-            for lo in range(0, m, step):
-                codes = np.sort(idx[lo : lo + step, None, :] * n + idx[None, :, :], axis=-1)
-                distinct = 1 + (codes[..., 1:] != codes[..., :-1]).sum(axis=-1)
-                leq[lo : lo + step] = distinct == nblocks[lo : lo + step, None]
-            self._leq = leq
-        return self._leq
+        m, n = len(self.elements), self.algebra.size
+        idx = np.array([p.index for p in self.elements], dtype=np.int64)
+        nblocks = np.array([len(p.blocks) for p in self.elements], dtype=np.int64)
+        leq = np.empty((m, m), dtype=bool)
+        step = max(1, core._CHUNK_CELLS // max(1, 2 * m * n))
+        for lo in range(0, m, step):
+            codes = np.sort(idx[lo : lo + step, None, :] * n + idx[None, :, :], axis=-1)
+            distinct = 1 + (codes[..., 1:] != codes[..., :-1]).sum(axis=-1)
+            leq[lo : lo + step] = distinct == nblocks[lo : lo + step, None]
+        return leq
 
     def _bound_table(self, leq: np.ndarray, pick) -> list[list[int]]:
         """For each (i, j) the position that `pick` chooses among the k with
@@ -480,42 +459,32 @@ class CongruenceLattice:
             out[lo : lo + step] = pick(leq[lo : lo + step, None, :] & leq[None, :, :])
         return out.tolist()
 
-    @property
+    @functools.cached_property
     def leq_matrix(self) -> list[list[bool]]:
-        if self._leq_rows is None:
-            self._leq_rows = self._leq_array().tolist()
-        return self._leq_rows
+        return self._leq.tolist()
 
-    @property
+    @functools.cached_property
     def join_table(self) -> list[list[int]]:
         # the join is the upper bound of least rank, i.e. the first one
-        if self._join is None:
-            self._join = self._bound_table(self._leq_array(), lambda up: up.argmax(axis=-1))
-        return self._join
+        return self._bound_table(self._leq, lambda up: up.argmax(axis=-1))
 
-    @property
+    @functools.cached_property
     def meet_table(self) -> list[list[int]]:
         # the meet is the lower bound of greatest rank, i.e. the last one
-        if self._meet is None:
-            last = len(self.elements) - 1
-            self._meet = self._bound_table(
-                self._leq_array().T, lambda down: last - down[..., ::-1].argmax(axis=-1)
-            )
-        return self._meet
+        last = len(self.elements) - 1
+        return self._bound_table(self._leq.T, lambda down: last - down[..., ::-1].argmax(axis=-1))
 
-    @property
+    @functools.cached_property
     def covers(self) -> frozenset[tuple[int, int]]:
         """The pairs (i, j) with element i strictly below element j and
         nothing strictly between: the transitive reduction of the order."""
-        if self._covers is None:
-            strict = self._leq_array().copy()
-            np.fill_diagonal(strict, False)
-            f = strict.astype(np.float32)
-            # float32 counts are safe here: a sum of 0/1 products is 0 only
-            # when every product is
-            lo, hi = np.nonzero(strict & ((f @ f) == 0))
-            self._covers = frozenset(zip(lo.tolist(), hi.tolist()))
-        return self._covers
+        strict = self._leq.copy()
+        np.fill_diagonal(strict, False)
+        f = strict.astype(np.float32)
+        # float32 counts are safe here: a sum of 0/1 products is 0 only
+        # when every product is
+        lo, hi = np.nonzero(strict & ((f @ f) == 0))
+        return frozenset(zip(lo.tolist(), hi.tolist()))
 
     def __len__(self):
         return len(self.elements)
@@ -560,28 +529,28 @@ def congruence_lattice(
     principal congruence.  Every congruence is the join of the principal
     congruences of its pairs, so this reaches all of Con(A) with
     O(|Con(A)| * |principals|) joins.  Raises `CapExceededError` when
-    |Con(A)| > cap."""
-    cached = algebra._cache.get("con")
-    if cached is not None:
-        if len(cached.elements) > cap:
+    |Con(A)| > cap, on a memo hit too."""
+
+    def build() -> CongruenceLattice:
+        principals = _distinct_principal_congruences(algebra)
+        elements: set[Partition] = {Partition.zero(algebra.size), *principals}
+        if len(elements) > cap:
             raise CapExceededError("congruence lattice", cap)
-        return cached
-    principals = _distinct_principal_congruences(algebra)
-    elements: set[Partition] = {Partition.zero(algebra.size), *principals}
-    if len(elements) > cap:
+        worklist = deque(elements)
+        while worklist:
+            p = worklist.popleft()
+            for q in principals:
+                j = p.join(q)
+                if j not in elements:
+                    elements.add(j)
+                    worklist.append(j)
+                    if len(elements) > cap:
+                        raise CapExceededError("congruence lattice", cap)
+        return CongruenceLattice(algebra, elements)
+
+    lat = core._memo(algebra, (CongruenceLattice,), build)
+    if len(lat) > cap:
         raise CapExceededError("congruence lattice", cap)
-    worklist = deque(elements)
-    while worklist:
-        p = worklist.popleft()
-        for q in principals:
-            j = p.join(q)
-            if j not in elements:
-                elements.add(j)
-                worklist.append(j)
-                if len(elements) > cap:
-                    raise CapExceededError("congruence lattice", cap)
-    lat = CongruenceLattice(algebra, elements)
-    algebra._cache["con"] = lat
     return lat
 
 

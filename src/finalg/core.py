@@ -12,17 +12,20 @@ over block representatives, and `is_homomorphism` checks a map with the
 same gather.
 
 Operation tables, element maps and the other values here are immutable after
-construction.  Each `FiniteAlgebra` also carries a private memo, `_cache`, a
-plain dict that library functions fill lazily with derived results:
-congruence lattices, matrix sets, term-condition verdicts, and the closure
-engine's block tables and plans.  Filling it mutates the instance, without
-any locking, so an algebra shared between threads needs the caller's own
-synchronization.
+construction.  Each `FiniteAlgebra` also carries a private memo, `_cache`, of
+derived results (congruence lattices, matrix sets, term-condition verdicts,
+the closure engine's block tables and plans), read and written only by
+`_memo`.  A key is a tuple: the function that computes the result, or the
+class of a result whose public function validates or caps first, followed
+by the arguments the result depends on.  Filling it mutates the instance,
+without any locking, so an algebra shared between threads needs the
+caller's own synchronization.
 """
 
 from __future__ import annotations
 
 import functools
+import inspect
 import itertools
 from typing import Callable, Iterable, Sequence
 
@@ -42,6 +45,30 @@ _BLOCK_TABLE_CELLS = 1 << 16
 # Closure spaces of at most this many codes track membership in a dense
 # boolean bitmap; larger spaces keep a sorted array of member codes.
 _DENSE_CODES = 1 << 24
+
+
+def _memo(algebra: FiniteAlgebra, key: tuple, build: Callable[[], object]):
+    """The result memoized on `algebra` under `key`, built by `build()` and
+    stored on the first request; a build that raises stores nothing."""
+    cache = algebra._cache
+    if key not in cache:
+        cache[key] = build()
+    return cache[key]
+
+
+def _memoized(fn):
+    """Memoize `fn(algebra, *args)` on the algebra, keyed by `fn` and the
+    arguments, keyword arguments bound to their positions; the wrapper
+    keeps `fn`'s name and module."""
+    bind = inspect.signature(fn).bind
+
+    @functools.wraps(fn)
+    def memoized(*args, **kwargs):
+        if kwargs:
+            args = bind(*args, **kwargs).args
+        return _memo(args[0], (fn, *args[1:]), lambda: fn(*args))
+
+    return memoized
 
 
 class CapExceededError(RuntimeError):
@@ -369,6 +396,7 @@ def _block_widths(n: int, arity: int, width: int) -> tuple[int, ...]:
     return (q + 1,) * r + (q,) * (count - r)
 
 
+@_memoized
 def _block_table(algebra: FiniteAlgebra, index: int, b: int) -> np.ndarray:
     """Operation `index` lifted coordinatewise to blocks of b coordinates.
 
@@ -376,42 +404,34 @@ def _block_table(algebra: FiniteAlgebra, index: int, b: int) -> np.ndarray:
     indexed by the k argument block codes read as one base-n^b number, so
     b = 1 gives the operation table itself.
     """
-    key = ("block_table", index, b)
-    table = algebra._cache.get(key)
-    if table is None:
-        op = algebra.operations[index]
-        if b == 1:
-            table = op.array()
-        else:
-            # a block of b coordinates is a block of b - 1 followed by one more
-            n, k = algebra.size, op.arity
-            head = _block_table(algebra, index, b - 1).reshape((n ** (b - 1), 1) * k)
-            table = (head * n + op.array().reshape((1, n) * k)).ravel()
-            table.setflags(write=False)
-        algebra._cache[key] = table
+    op = algebra.operations[index]
+    if b == 1:
+        return op.array()
+    # a block of b coordinates is a block of b - 1 followed by one more
+    n, k = algebra.size, op.arity
+    head = _block_table(algebra, index, b - 1).reshape((n ** (b - 1), 1) * k)
+    table = (head * n + op.array().reshape((1, n) * k)).ravel()
+    table.setflags(write=False)
     return table
 
 
+@_memoized
 def _closure_plan(algebra: FiniteAlgebra, width: int) -> list:
     """Per operation: (arity, block widths, block tables) for width-w codes.
 
     Each block table is scaled by the place value of its block in a code,
     so a result code is the sum of one lookup per block.
     """
-    key = ("closure_plan", width)
-    plan = algebra._cache.get(key)
-    if plan is None:
-        plan = []
-        n = algebra.size
-        for i, op in enumerate(algebra.operations):
-            widths = _block_widths(n, op.arity, width)
-            tables = []
-            shift = width
-            for b in widths:
-                shift -= b
-                tables.append(_block_table(algebra, i, b) * n**shift)
-            plan.append((op.arity, widths, tables))
-        algebra._cache[key] = plan
+    plan = []
+    n = algebra.size
+    for i, op in enumerate(algebra.operations):
+        widths = _block_widths(n, op.arity, width)
+        tables = []
+        shift = width
+        for b in widths:
+            shift -= b
+            tables.append(_block_table(algebra, i, b) * n**shift)
+        plan.append((op.arity, widths, tables))
     return plan
 
 
@@ -483,6 +503,16 @@ def _grid_codes(
     return code.ravel()
 
 
+def _distinct(codes: np.ndarray) -> np.ndarray:
+    """The distinct values of an int64 array, sorted.  A sort and a mask: on
+    int64 this is several times faster than `np.unique` at numpy 2.4, which
+    also imports `numpy.ma` on its first call."""
+    codes = np.sort(codes)
+    keep = np.ones(len(codes), dtype=bool)
+    np.not_equal(codes[1:], codes[:-1], out=keep[1:])
+    return codes[keep]
+
+
 class _DenseMembers:
     """Closure membership as a boolean bitmap over the whole code space."""
 
@@ -491,7 +521,7 @@ class _DenseMembers:
         self.seen[codes] = True
 
     def fresh(self, codes: np.ndarray) -> np.ndarray:
-        return np.unique(codes[~self.seen.take(codes)])
+        return _distinct(codes[~self.seen.take(codes)])
 
     def add(self, codes: np.ndarray) -> None:
         self.seen[codes] = True
@@ -505,7 +535,7 @@ class _SortedMembers:
         self.codes = codes
 
     def fresh(self, codes: np.ndarray) -> np.ndarray:
-        codes = np.unique(codes)
+        codes = _distinct(codes)
         known = self.codes.take(np.searchsorted(self.codes, codes), mode="clip") == codes
         return codes[~known]
 

@@ -59,20 +59,16 @@ class WdtCertificate:
         return self.d[(x * n + y) * n + z]
 
 
+@core._memoized
 def _abelian_quotient_pairs(algebra: FiniteAlgebra) -> list[tuple[Partition, Partition]]:
     """All (delta, theta) in Con(A)^2 with delta <= theta and theta/delta abelian."""
-    cached = algebra._cache.get("abelian_pairs")
-    if cached is not None:
-        return cached
     con = congruence_lattice(algebra).elements
-    out = [
+    return [
         (delta, theta)
         for delta in con
         for theta in con
         if delta.leq(theta) and centralizes(algebra, theta, theta, delta).holds
     ]
-    algebra._cache["abelian_pairs"] = out
-    return out
 
 
 def verify_wdt(
@@ -180,7 +176,8 @@ def search_wdt(
         lead_of = leads[np.cumsum(first) - 1]
         for lo in range(0, len(order), step):
             if not np.array_equal(batch[order[lo : lo + step]], batch[lead_of[lo : lo + step]]):
-                return np.unique(batch, axis=0)
+                rows = batch[np.lexsort(batch.T[::-1])]
+                return rows[np.r_[True, (rows[1:] != rows[:-1]).any(axis=1)]]
         return batch[leads]
 
     idx = np.arange(w, dtype=np.int64)
@@ -248,7 +245,9 @@ def search_wdt(
                     absorb(out)
         if not fresh_rows:
             return None
-        fresh = np.unique(np.array(fresh_rows, dtype=np.int64), axis=0)
+        # the fresh rows are distinct, so a lexicographic sort orders the level
+        fresh = np.array(fresh_rows, dtype=np.int64)
+        fresh = fresh[np.lexsort(fresh.T[::-1])]
         for row in fresh:
             if passes(row):
                 return verify_wdt(algebra, row.tolist(), provenance="term-derived")
@@ -336,18 +335,17 @@ class ClassGroup:
 def class_group(
     algebra: FiniteAlgebra, certificate: WdtCertificate, theta: Partition, e: int
 ) -> ClassGroup:
-    """Grp(theta, e) built from a verified weak difference term."""
+    """Grp(theta, e) built from a verified weak difference term.  The
+    certificate is checked on every call, before the memo lookup."""
     if not certificate.verdict or certificate.algebra != algebra:
         raise ValueError("need a valid certificate for this algebra")
-    key = ("class_group", certificate.d, theta, e)
-    cached = algebra._cache.get(key)
-    if cached is not None:
-        return cached
-    if not is_abelian(algebra, theta):
-        raise ValueError("theta is not abelian")
-    grp = ClassGroup(algebra, theta, e, certificate.d)
-    algebra._cache[key] = grp
-    return grp
+
+    def build() -> ClassGroup:
+        if not is_abelian(algebra, theta):
+            raise ValueError("theta is not abelian")
+        return ClassGroup(algebra, theta, e, certificate.d)
+
+    return core._memo(algebra, (ClassGroup, certificate.d, theta, e), build)
 
 
 @dataclass(frozen=True)

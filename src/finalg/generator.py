@@ -22,7 +22,7 @@ from .core import CapExceededError, FiniteAlgebra, closure_in_power
 from .congruences import Partition, congruence_lattice, structure_report
 from .centrality import centralizer
 from .diffalg import difference_algebra, range_of_class
-from .diffterm import verify_wdt
+from .diffterm import certificate_from_operation
 from .similarity import division_ring
 from .report import CheckItem, Report
 
@@ -707,7 +707,7 @@ def verify_claims(gen: GeneratedAlgebra) -> Report:
     field = gen.config.field
     items = []
 
-    cert = verify_wdt(a, a.operation("d").table, provenance="basic operation 'd'")
+    cert = certificate_from_operation(a, "d")
     items.append(
         CheckItem(
             id="glued-term-is-wdt",

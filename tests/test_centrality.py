@@ -1,6 +1,7 @@
 import pytest
 
 from finalg import (
+    CapExceededError,
     FiniteAlgebra,
     Partition,
     Tolerance,
@@ -8,6 +9,7 @@ from finalg import (
     centralizes,
     check_centrality_laws,
     congruence_lattice,
+    fixtures,
     generate_matrices,
     is_abelian,
     two_term_condition,
@@ -33,6 +35,21 @@ def test_matrix_set_examples(z2, s2):
     ms2 = generate_matrices(s2, one2, one2)
     # the meet of a column seed and a row seed: columns (0, 1), (0, 0)
     assert (0, 1, 0, 0) in set(ms2.matrices)
+
+
+def test_memoized_matrix_set_still_respects_the_cap():
+    """A memo hit re-checks the cap: the second call on the same algebra
+    raises exactly as a first call with that cap would."""
+    algebra = fixtures.z4()
+    one = Partition.one(4)
+    assert len(generate_matrices(algebra, one, one)) == 64
+    with pytest.raises(CapExceededError):
+        generate_matrices(fixtures.z4(), one, one, cap=1)
+    with pytest.raises(CapExceededError):
+        generate_matrices(algebra, one, one, cap=1)
+    with pytest.raises(CapExceededError):
+        generate_matrices(algebra, one, one, cap=63)
+    assert len(generate_matrices(algebra, one, one, cap=64)) == 64
 
 
 def test_matrix_sets_match_naive_closure(z2, z4, s2, z4_theta):

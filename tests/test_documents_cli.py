@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +18,8 @@ from finalg.centrality import InconsistencyError
 from finalg.documents import DocumentError, parse_partition_argument
 from finalg.generator import config_to_dict
 from finalg.report import CheckItem, Report
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_roundtrip_fixtures(z2, z4, s2, two_sq):
@@ -275,3 +281,40 @@ def test_cli_cap_is_enforced_or_rejected(tmp_path, z4, z4_theta):
     ):
         assert run_command(argv + ["--in", str(z4_path), "--cap", "5"]) == (2, "")
         assert run_command(argv + ["--in", str(z4_path)])[0] == 0
+
+
+def test_commands_do_not_import_numpy_ma(tmp_path, gen1, gen3):
+    """`np.unique` without a `return_*` argument imports `numpy.ma` on its
+    first call, 12-18 ms once per process; no command on these paths, and
+    no hash-collision fallback of the clone search, calls it."""
+    paths = {}
+    for label, gen in (("gen1", gen1), ("gen3", gen3)):
+        paths[label] = tmp_path / f"{label}.alg"
+        paths[label].write_text(
+            serialize_algebra(gen.algebra, labels={"mu": gen.mu, "alpha": gen.alpha},
+                              generator=config_to_dict(gen.config)),
+            encoding="utf-8",
+        )
+    g1, g3 = str(paths["gen1"]), str(paths["gen3"])
+    commands = [
+        ["diffalg", "--in", g1, "--theta", "mu", "--d", "d"],
+        ["freese", "--in", g1, "--theta", "mu", "--d", "d"],
+        ["verify-claims", "--in", g1],
+        ["laws", "--in", g1],
+        ["wdt-search", "--in", g3],
+    ]
+    script = f"""
+import sys
+import numpy as np
+from finalg import diffterm, parse_algebra, run_command, search_wdt
+for argv in {commands!r}:
+    assert run_command(argv)[0] == 0, argv
+diffterm._row_hashes = lambda rows, salt: np.zeros(len(rows), dtype=np.int64)
+assert search_wdt(parse_algebra(open({g3!r}).read())[0]) is not None
+assert "numpy.ma" not in sys.modules
+"""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert done.returncode == 0, done.stderr[-2000:]
