@@ -35,6 +35,7 @@ from .core import (
 )
 from .congruences import (
     Partition,
+    _base_translations,
     congruence_lattice,
     is_congruence,
     push_partition,
@@ -327,9 +328,13 @@ def _integer_log(size: int, base: int) -> int:
 class FreeseRing:
     """The ring of compatible endomorphism tuples over a transversal of an
     abelian minimal congruence: one class-group endomorphism per class,
-    commuting with every restriction of a unary polynomial that maps base
-    point to base point.  Isomorphic to the division ring of theta via the
-    per-class action of the latter."""
+    commuting with every restriction r: C_j -> C_i of a unary polynomial with
+    r(e_j) = e_i (`restrictions[(i, j)]`, sorted image tuples over C_j).
+    Each r is affine for the class groups, so it is built by composition and
+    pointwise d from the constants e_i and the normalized basic translations,
+    and a tuple is compatible iff it commutes with these (see `freese_ring`).
+    Isomorphic to the division ring of theta via the per-class action of the
+    latter."""
 
     theta: Partition
     transversal: tuple[int, ...]
@@ -344,16 +349,6 @@ class FreeseRing:
     iso_to_division_ring: tuple[int, ...]
 
 
-def _restricted_polynomials(algebra: FiniteAlgebra, cls: tuple[int, ...]):
-    """All restrictions of unary polynomials to one theta-class, as tuples of
-    images indexed by class position (the restriction closure equals the
-    closure of the restricted seeds)."""
-    n = algebra.size
-    seeds = [tuple(cls)] + [(c,) * len(cls) for c in range(n)]
-    members, _ = closure_in_power(algebra, len(cls), seeds, cap_name="pol1 restriction")
-    return members
-
-
 def freese_ring(
     algebra: FiniteAlgebra,
     theta: Partition,
@@ -361,56 +356,68 @@ def freese_ring(
     certificate: WdtCertificate,
 ) -> FreeseRing:
     """Build the compatible-tuple ring over a transversal and verify it is
-    isomorphic to the division ring of theta via the canonical per-class map."""
+    isomorphic to the division ring of theta via the canonical per-class map.
+
+    As theta is abelian and d a weak difference term, every unary polynomial
+    is affine on a theta-class: r(x) = d(f(..x..), f(e), e), the fact that
+    `diffterm.affine_decompose` checks.  So the restrictions C_j -> C_i with
+    e_j -> e_i are generated, under composition and pointwise d, by the
+    constants e_i and the normalized basic translations
+    x -> d(t(x), t(e_j), e_i), e_i the base point of the class of t(e_j).
+    One auxiliary algebra on A has these as unary operations (the identity
+    off C_j) and m: d within a class, the first projection across classes.
+    Its closure in the |C_j|-th power from the identity of C_j and the
+    constants e_i holds the restrictions out of C_j.  Its endomorphisms that
+    fix each e_i and keep every class are the carrier: m makes them
+    class-group endomorphisms, and commuting with the generators they commute
+    with every composite and pointwise d of them, so with every restriction."""
     if not _is_minimal_congruence(algebra, theta):
         raise ValueError("theta is not a minimal congruence")
     if not is_abelian(algebra, theta):
         raise ValueError("theta is not abelian")
+    n = algebra.size
     tlist = sorted(int(x) for x in transversal)
+    if any(not 0 <= x < n for x in tlist):
+        raise ValueError(f"transversal element out of range 0..{n - 1}")
     classes = list(theta.blocks)
-    base_points = []
-    for blk in classes:
-        hits = [x for x in tlist if x in blk]
-        if len(hits) != 1:
-            raise ValueError("transversal must meet every class exactly once")
-        base_points.append(hits[0])
+    hits = [[x for x in tlist if x in blk] for blk in classes]
+    if any(len(h) != 1 for h in hits):
+        raise ValueError("transversal must meet every class exactly once")
+    base_points = [h[0] for h in hits]
+
+    labels = np.asarray(theta.index)
+    base = np.asarray(base_points)
+    d = np.reshape(certificate.d, (n, n, n))
+    # image[t, x]: t normalized on the class of x; C_j's generators use it on C_j
+    translations, _ = _base_translations(algebra)
+    te = translations[:, base[labels]]
+    image = d[translations, te, base[labels[te]]]
+    own = labels == np.arange(len(classes))[:, None]
+    rows = np.where(own[:, None, :], image, np.arange(n)).reshape(-1, n)
+    keys = rows.view(np.dtype((np.void, rows.itemsize * n))).ravel()
+    _, first = np.unique(keys, return_index=True)
+    xs, ys, zs = np.indices((n, n, n))
+    within = (labels[xs] == labels[ys]) & (labels[ys] == labels[zs])
+    ops = [("m", 3, np.where(within, d, xs).ravel().tolist())]
+    ops += [(f"r{k}", 1, row) for k, row in enumerate(rows[first].tolist())]
+    aux = FiniteAlgebra(n, ops)
 
     # hom-sets: restrictions of unary polynomials sending e_j to e_i
     restrictions: dict[tuple[int, int], tuple] = {}
     for j, cj in enumerate(classes):
-        all_restr = _restricted_polynomials(algebra, cj)
-        ej_pos = cj.index(base_points[j])
+        seeds = [cj] + [(e,) * len(cj) for e in base_points]
+        members, _ = closure_in_power(aux, len(cj), seeds, cap_name="pol1 restriction")
+        at_ej = cj.index(base_points[j])
+        by_image: dict[int, list] = {}
+        for g in members:
+            by_image.setdefault(g[at_ej], []).append(g)
         for i, ci in enumerate(classes):
-            ciset = set(ci)
-            rs = []
-            for g in all_restr:
-                if g[ej_pos] != base_points[i]:
-                    continue
-                if not set(g) <= ciset:
-                    raise InconsistencyError("a polynomial restriction leaves the target class")
-                rs.append(g)
-            restrictions[(i, j)] = tuple(sorted(rs))
+            rs = tuple(by_image.get(base_points[i], ()))
+            if not set().union(*rs) <= set(ci):
+                raise InconsistencyError("a polynomial restriction leaves the target class")
+            restrictions[(i, j)] = rs
 
     groups = [class_group(algebra, certificate, theta, e) for e in base_points]
-
-    # The carrier: the endomorphisms of an auxiliary algebra on A that fix
-    # the base points and keep each element in its class.  Its ternary m is
-    # d within a class and the first projection across classes, so on each
-    # class they are exactly the endomorphisms of the class group; each
-    # restriction r: C_j -> C_i, extended by the identity off C_j, is a
-    # unary operation, so they commute with every restriction.
-    n = algebra.size
-    labels = np.asarray(theta.index)
-    xs, ys, zs = np.indices((n, n, n))
-    within = (labels[xs] == labels[ys]) & (labels[ys] == labels[zs])
-    ops = [("m", 3, np.where(within, np.reshape(certificate.d, (n, n, n)), xs).ravel().tolist())]
-    for (i, j), rs in restrictions.items():
-        for r in rs:
-            table = list(range(n))
-            for x, rx in zip(classes[j], r):
-                table[x] = rx
-            ops.append((f"r{len(ops)}", 1, table))
-    aux = FiniteAlgebra(n, ops)
     carrier = tuple(sorted(
         tuple(tuple(h[x] for x in blk) for blk in classes)
         for h in _homomorphisms(aux, aux, _kept_in_blocks(theta, base_points))
@@ -433,19 +440,10 @@ def freese_ring(
     one_t = tuple(tuple(blk) for blk in classes)
     if zero_t not in pos or one_t not in pos:
         raise InconsistencyError("hom-set ring misses zero or one")
-    add_table = []
-    mul_table = []
-    for s in carrier:
-        arow, mrow = [], []
-        for t in carrier:
-            st = add_tuples(s, t)
-            pt = mul_tuples(s, t)
-            if st not in pos or pt not in pos:
-                raise InconsistencyError("hom-set ring not closed")
-            arow.append(pos[st])
-            mrow.append(pos[pt])
-        add_table.append(tuple(arow))
-        mul_table.append(tuple(mrow))
+    add_table = tuple(tuple(pos.get(add_tuples(s, t), -1) for t in carrier) for s in carrier)
+    mul_table = tuple(tuple(pos.get(mul_tuples(s, t), -1) for t in carrier) for s in carrier)
+    if any(-1 in row for row in add_table + mul_table):
+        raise InconsistencyError("hom-set ring not closed")
 
     # the canonical isomorphism with the division ring of theta
     da = difference_algebra(algebra, theta, certificate)
@@ -481,8 +479,8 @@ def freese_ring(
         base_points=tuple(base_points),
         restrictions=restrictions,
         carrier=carrier,
-        add_table=tuple(add_table),
-        mul_table=tuple(mul_table),
+        add_table=add_table,
+        mul_table=mul_table,
         zero_index=pos[zero_t],
         one_index=pos[one_t],
         division_ring_size=len(ring),

@@ -18,7 +18,8 @@ checked bridges, quotients and homomorphisms before the one materializer.
 `reference_endomorphisms_fixing`, `reference_find_isomorphism` and
 `reference_freese_carrier` are the backtracks and the brute force that found
 division-ring carriers, isomorphisms and Freese-ring carriers before the one
-homomorphism search.
+homomorphism search.  `brute_hom_sets` filters `brute_pol1` down to the
+Freese ring's restrictions between classes.
 """
 
 from __future__ import annotations
@@ -178,6 +179,21 @@ def brute_pol1(algebra: FiniteAlgebra) -> frozenset:
         if fresh <= fns:
             return frozenset(fns)
         fns |= fresh
+
+
+def brute_hom_sets(algebra: FiniteAlgebra, classes, base_points) -> dict:
+    """Freese's hom-sets by brute force: for each pair of classes (C_i, C_j)
+    with base points e_i, e_j, the unary polynomials of `brute_pol1`
+    restricted to C_j that send e_j to e_i, as distinct image tuples over
+    C_j in lexicographic order."""
+    pol = brute_pol1(algebra)
+    out = {}
+    for j, cj in enumerate(classes):
+        restricted = {tuple(p[x] for x in cj) for p in pol}
+        at = list(cj).index(base_points[j])
+        for i, e in enumerate(base_points):
+            out[(i, j)] = tuple(sorted(r for r in restricted if r[at] == e))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -170,6 +170,15 @@ def test_cli_exit_codes(tmp_path, z4, s2, z4_theta):
     assert code == 0
 
 
+def test_cli_freese_rejects_a_transversal_outside_the_algebra(tmp_path, gen1):
+    path = tmp_path / "gen1.alg"
+    path.write_text(serialize_algebra(gen1.algebra, labels={"mu": gen1.mu}))
+    argv = ["freese", "--in", str(path), "--theta", "mu", "--d", "d"]
+    assert run_command(argv + ["--transversal", "0,2"])[0] == 0
+    for value in ("0,2,99", "-1,0,2"):
+        code, text = run_command(argv + [f"--transversal={value}"])
+        assert code == 2 and "out of range" in text, text
+
 def test_cli_similar_verdicts(tmp_path, z4, z2, cert_z4):
     from finalg import diff_of
 

@@ -19,6 +19,10 @@ from finalg import (
     perspective_diff_iso,
     verify_wdt,
 )
+from finalg import core, similarity
+from finalg.generator import config_from_dict, generate_example
+
+from oracles import brute_hom_sets, reference_freese_carrier
 
 
 def _xor_binary():
@@ -95,6 +99,84 @@ def test_freese_ring_gen_fixtures(gen1, cert_gen1, gen2, cert_gen2):
         transversal = [blk[0] for blk in gen.mu.blocks]  # the zero vectors
         fr = freese_ring(gen.algebra, gen.mu, transversal, cert)
         assert len(fr.carrier) == expected == fr.division_ring_size
+
+
+def test_freese_ring_rejects_elements_outside_the_algebra(gen1, cert_gen1):
+    # gen1's mu-blocks are (0, 1) and (2, 3): 0 and 2 already form a
+    # transversal, so the stray element must be refused, not dropped
+    for transversal in ([0, 2, 99], [-1, 0, 2]):
+        with pytest.raises(ValueError, match="out of range"):
+            freese_ring(gen1.algebra, gen1.mu, transversal, cert_gen1)
+
+
+def test_freese_restrictions_match_brute_pol1(
+    z2, cert_z2, z4, cert_z4, z4_theta, gen1, cert_gen1, gen3, cert_gen3
+):
+    """Each hom-set is the brute-force unary polynomials restricted to C_j
+    that send e_j to e_i, and the carrier is the tuples commuting with
+    exactly those."""
+    cases = [
+        (z2, Partition.one(2), cert_z2),
+        (z4, z4_theta, cert_z4),
+        (gen1.algebra, gen1.mu, cert_gen1),
+        (gen3.algebra, gen3.mu, cert_gen3),
+    ]
+    for algebra, theta, cert in cases:
+        fr = freese_ring(algebra, theta, [blk[0] for blk in theta.blocks], cert)
+        expected = brute_hom_sets(algebra, theta.blocks, fr.base_points)
+        assert fr.restrictions == expected
+        assert fr.carrier == reference_freese_carrier(
+            algebra.size, cert.d, theta.blocks, fr.base_points, expected
+        )
+
+
+def _freese_over_all_of_a(algebra, theta, base_points, cert):
+    """(restrictions, carrier) as `freese_ring` built them before it used the
+    normalized basic translations: each class's identity and every constant
+    closed under all of A's operations, and one unary operation of the
+    auxiliary algebra per restriction found."""
+    n = algebra.size
+    classes = theta.blocks
+    restrictions = {}
+    for j, cj in enumerate(classes):
+        seeds = [cj] + [(c,) * len(cj) for c in range(n)]
+        members, _ = core.closure_in_power(algebra, len(cj), seeds)
+        at = cj.index(base_points[j])
+        for i, e in enumerate(base_points):
+            restrictions[(i, j)] = tuple(g for g in members if g[at] == e)
+    label = theta.index
+    m = [
+        cert.apply(x, y, z) if label[x] == label[y] == label[z] else x
+        for x, y, z in itertools.product(range(n), repeat=3)
+    ]
+    ops = [("m", 3, m)]
+    for (i, j), rs in restrictions.items():
+        for r in rs:
+            table = list(range(n))
+            for x, rx in zip(classes[j], r):
+                table[x] = rx
+            ops.append((f"r{len(ops)}", 1, table))
+    aux = FiniteAlgebra(n, ops)
+    allowed = similarity._kept_in_blocks(theta, base_points)
+    carrier = tuple(sorted(
+        tuple(tuple(h[x] for x in blk) for blk in classes)
+        for h in core._homomorphisms(aux, aux, allowed)
+    ))
+    return restrictions, carrier
+
+
+def test_freese_ring_matches_the_closure_over_all_of_a(gen2):
+    configs = [  # g5, gf4 and g8 of ROADMAP.md
+        {"field": {"p": 5, "k": 1}, "dims": [1], "subspaces": [[[[1]]]]},
+        {"field": {"p": 2, "k": 2}, "dims": [1, 1], "subspaces": [[], []]},
+        {"field": {"p": 2, "k": 1}, "dims": [2, 2, 1], "subspaces": [[[[1, 0]]], [], []]},
+    ]
+    for gen in [gen2] + [generate_example(config_from_dict(c)) for c in configs]:
+        cert = certificate_from_operation(gen.algebra, "d")
+        fr = freese_ring(gen.algebra, gen.mu, [blk[0] for blk in gen.mu.blocks], cert)
+        restrictions, carrier = _freese_over_all_of_a(gen.algebra, gen.mu, fr.base_points, cert)
+        assert fr.restrictions == restrictions
+        assert fr.carrier == carrier
 
 
 def test_diff_of_examples(z4, cert_z4, s2, gen2, cert_gen2):
