@@ -18,9 +18,18 @@ algebra is built.  `congruence_generated` is the case theta = 0, whose pair
 algebra, the diagonal, is a copy of the algebra; the pair algebras of the
 term condition (`centrality.generated_pair_congruence`) are the others.
 
-Con(A) is the closure of 0 and the principal congruences under joining with
-a principal congruence.  Its order matrix, join and meet tables and cover
-relation are built in numpy only when first read.
+Principal congruences do not run the kernel.  `_principal_congruences`
+finds every Cg(a, b) in one pass over the graph on unordered pairs whose
+edges are the basic translations (the kernel's translations of theta = 0,
+one gather for all pairs): by Mal'cev, Cg(a, b) is the equivalence closure
+of the pairs {a, b} reaches, so it is read off the strongly connected
+components in the sinks-first order of Tarjan's algorithm (R. Tarjan,
+Depth-first search and linear graph algorithms, SIAM J. Comput. 1, 1972).
+`principal_congruence` looks its answer up there.
+
+Con(A) is the closure of 0 and the distinct principal congruences under
+joining with a principal congruence.  Its order matrix, join and meet tables
+and cover relation are built in numpy only when first read.
 """
 
 from __future__ import annotations
@@ -161,10 +170,12 @@ class Partition:
     # -- order and lattice operations -------------------------------------
 
     def leq(self, other: "Partition") -> bool:
-        """Refinement order: every block of self lies inside a block of other."""
+        """Refinement order: every block of self lies inside a block of other,
+        i.e. pairing the labels of self and other gives one pair per block
+        of self."""
         if self.size != other.size:
             raise ValueError("size mismatch")
-        return all(len({other.index[x] for x in blk}) == 1 for blk in self.blocks)
+        return len(set(zip(self.index, other.index))) == len(self.blocks)
 
     def join(self, other: "Partition") -> "Partition":
         if self.size != other.size:
@@ -400,17 +411,137 @@ def congruence_generated(algebra: FiniteAlgebra, pairs: Iterable[tuple[int, int]
 
 
 def principal_congruence(algebra: FiniteAlgebra, a: int, b: int) -> Partition:
-    """Cg(a, b): least congruence identifying a and b."""
-    return congruence_generated(algebra, [(a, b)])
+    """Cg(a, b): least congruence identifying a and b, read off the pair
+    graph pass `_principal_congruences`, which is built once per algebra;
+    Cg(a, a) is 0."""
+    n = algebra.size
+    if not (0 <= a < n and 0 <= b < n):
+        raise ValueError(f"pair ({a}, {b}) out of range")
+    return _principal_congruences(algebra)[0][a * n + b]
+
+
+def _components_sinks_first(starts: list[int], succ: list[int]) -> tuple[list[int], int]:
+    """Tarjan's strongly connected components (R. Tarjan, Depth-first search
+    and linear graph algorithms, SIAM J. Comput. 1, 1972) of the graph whose
+    node v has the successors succ[starts[v]:starts[v + 1]], with an explicit
+    stack instead of recursion.  Returns (comp, count): comp[v] numbers v's
+    component in the order Tarjan emits them, sinks first, so every edge
+    leaves a component for one of the same or a smaller number."""
+    m = len(starts) - 1
+    order = [-1] * m
+    low = [0] * m
+    comp = [-1] * m
+    stack: list[int] = []
+    seen = count = 0
+    for root in range(m):
+        if order[root] >= 0:
+            continue
+        order[root] = low[root] = seen
+        seen += 1
+        stack.append(root)
+        work = [(root, starts[root])]
+        while work:
+            v, i = work[-1]
+            end = starts[v + 1]
+            while i < end:
+                w = succ[i]
+                i += 1
+                if order[w] < 0:
+                    work[-1] = (v, i)
+                    order[w] = low[w] = seen
+                    seen += 1
+                    stack.append(w)
+                    work.append((w, starts[w]))
+                    break
+                # w is still on the stack iff it has no component yet
+                if comp[w] < 0 and order[w] < low[v]:
+                    low[v] = order[w]
+            else:
+                work.pop()
+                if low[v] == order[v]:
+                    while True:
+                        w = stack.pop()
+                        comp[w] = count
+                        if w == v:
+                            break
+                    count += 1
+                if work and low[v] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[v]
+    return comp, count
 
 
 @core._memoized
-def _distinct_principal_congruences(algebra: FiniteAlgebra) -> list[Partition]:
-    found: dict[Partition, None] = {}
-    for a in range(algebra.size):
-        for b in range(a + 1, algebra.size):
-            found.setdefault(principal_congruence(algebra, a, b))
-    return sorted(found, key=lambda p: (p.rank, p.blocks))
+def _principal_congruences(algebra: FiniteAlgebra) -> tuple[list[Partition], list[Partition]]:
+    """Every principal congruence from one pass over the pair graph, as
+    (table, distinct): table[a * n + b] is Cg(a, b) (0 when a == b), and
+    `distinct` lists the distinct Cg(a, b) with a != b sorted by (rank,
+    blocks), each one object shared by its table entries.  Memoized on the
+    algebra.
+
+    The graph has a node per unordered pair {a, b} of distinct elements and
+    an edge {a, b} -> {t(a), t(b)} for every basic translation t with
+    t(a) != t(b); its edges come from one gather of (pairs x translations)
+    over the kernel's `_pair_translations(algebra, None)`, sliced within
+    `core._CHUNK_CELLS`.  By Mal'cev, Cg(a, b) is the equivalence closure of
+    the pairs that {a, b} reaches, so mutually reachable pairs share it, and
+    the Cg of a strongly connected component is its own pairs joined with
+    the Cg of the components it has edges to.  Tarjan's order emits those
+    first.  Each distinct successor congruence is joined at most once,
+    coarsest first, and skipped when it already lies below.
+    """
+    n = algebra.size
+    _, _, _, _, _, flat, rows, _ = _pair_translations(algebra, None)
+    a, b = np.triu_indices(n, 1)
+    m = len(a)
+    node = np.full(n * n, -1, dtype=np.int64)
+    node[a * n + b] = node[b * n + a] = np.arange(m, dtype=np.int64)
+    src = np.arange(m, dtype=np.int64)
+    # edges travel as codes src * m + dst; a slice holds about six int64
+    # temporaries per cell.  Slices are deduplicated together once they hold
+    # as many codes as the distinct ones so far, so each code is sorted a
+    # bounded number of times.
+    step = max(1, core._CHUNK_CELLS // max(1, 6 * m))
+    codes = np.empty(0, dtype=np.int64)
+    parts, held = [], 0
+    for lo in range(0, len(rows), step):
+        r = rows[lo : lo + step]
+        dst = node[flat[r + a] * n + flat[r + b]]
+        keep = (dst >= 0) & (dst != src)
+        parts.append((src * m + dst)[keep])
+        held += len(parts[-1])
+        if held >= len(codes):
+            codes = core._distinct(np.concatenate((codes, *parts)))
+            parts, held = [], 0
+    if parts:
+        codes = core._distinct(np.concatenate((codes, *parts)))
+    starts = np.searchsorted(codes, src * m).tolist() + [len(codes)]
+    succ = (codes % m).tolist()
+    comp, count = _components_sinks_first(starts, succ)
+    members: list[list[int]] = [[] for _ in range(count)]
+    for v, c in enumerate(comp):
+        members[c].append(v)
+    a, b = a.tolist(), b.tolist()
+    # label[c] numbers component c's congruence among the distinct ones
+    distinct: list[Partition] = []
+    number: dict[Partition, int] = {}
+    label: list[int] = []
+    for c, nodes in enumerate(members):
+        p = Partition.from_pairs(n, [(a[v], b[v]) for v in nodes])
+        # the coarsest successors first, so that the finer ones are
+        # usually below the join already
+        successors = {label[comp[w]] for v in nodes for w in succ[starts[v] : starts[v + 1]] if comp[w] != c}
+        for q in sorted((distinct[i] for i in successors), key=lambda q: -q.rank):
+            if not q.leq(p):
+                p = p.join(q)
+        if p not in number:
+            number[p] = len(distinct)
+            distinct.append(p)
+        label.append(number[p])
+    zero = Partition.zero(n)
+    table = [zero] * (n * n)
+    for v in range(m):
+        table[a[v] * n + b[v]] = table[b[v] * n + a[v]] = distinct[label[comp[v]]]
+    return table, sorted(distinct, key=lambda p: (p.rank, p.blocks))
 
 
 @dataclass(frozen=True)
@@ -532,7 +663,7 @@ def congruence_lattice(
     |Con(A)| > cap, on a memo hit too."""
 
     def build() -> CongruenceLattice:
-        principals = _distinct_principal_congruences(algebra)
+        principals = _principal_congruences(algebra)[1]
         elements: set[Partition] = {Partition.zero(algebra.size), *principals}
         if len(elements) > cap:
             raise CapExceededError("congruence lattice", cap)

@@ -14,12 +14,12 @@ same gather.
 Operation tables, element maps and the other values here are immutable after
 construction.  Each `FiniteAlgebra` also carries a private memo, `_cache`, of
 derived results (congruence lattices, matrix sets, term-condition verdicts,
-the closure engine's block tables and plans), read and written only by
-`_memo`.  A key is a tuple: the function that computes the result, or the
-class of a result whose public function validates or caps first, followed
-by the arguments the result depends on.  Filling it mutates the instance,
-without any locking, so an algebra shared between threads needs the
-caller's own synchronization.
+the closure engine's block tables and plans), written only by `_memo` and
+read by it and by the hit path of `_memoized`.  A key is a tuple: the
+function that computes the result, or the class of a result whose public
+function validates or caps first, followed by the arguments the result
+depends on.  Filling it mutates the instance, without any locking, so an
+algebra shared between threads needs the caller's own synchronization.
 """
 
 from __future__ import annotations
@@ -59,14 +59,22 @@ def _memo(algebra: FiniteAlgebra, key: tuple, build: Callable[[], object]):
 def _memoized(fn):
     """Memoize `fn(algebra, *args)` on the algebra, keyed by `fn` and the
     arguments, keyword arguments bound to their positions; the wrapper
-    keeps `fn`'s name and module."""
+    keeps `fn`'s name and module.  A hit is one lookup in the memo; only a
+    miss goes through `_memo`."""
     bind = inspect.signature(fn).bind
 
     @functools.wraps(fn)
-    def memoized(*args, **kwargs):
+    def memoized(algebra, *args, **kwargs):
         if kwargs:
-            args = bind(*args, **kwargs).args
-        return _memo(args[0], (fn, *args[1:]), lambda: fn(*args))
+            algebra, *args = bind(algebra, *args, **kwargs).args
+        key = (fn, *args)
+        try:
+            return algebra._cache[key]
+        except KeyError:
+            pass
+        # outside the handler, so that an error of the build is not chained
+        # to the failed lookup
+        return _memo(algebra, key, lambda: fn(algebra, *args))
 
     return memoized
 
@@ -92,7 +100,7 @@ class Operation:
     def __init__(self, name: str, arity: int, table: Sequence[int]):
         self.name = str(name)
         self.arity = int(arity)
-        self.table = tuple(int(x) for x in table)
+        self.table = tuple(map(int, table))
         self._array: np.ndarray | None = None
 
     def array(self) -> np.ndarray:
@@ -146,9 +154,9 @@ class FiniteAlgebra:
                 raise ValueError(
                     f"operation '{op.name}': table length {len(op.table)} != {size}^{op.arity}"
                 )
-            for entry in op.table:
-                if not 0 <= entry < size:
-                    raise ValueError(f"operation '{op.name}': entry {entry} out of range")
+            if min(op.table) < 0 or max(op.table) >= size:
+                entry = next(e for e in op.table if not 0 <= e < size)
+                raise ValueError(f"operation '{op.name}': entry {entry} out of range")
             ops.append(op)
         self.operations = tuple(ops)
         self._ops_by_name = {op.name: op for op in self.operations}

@@ -24,6 +24,7 @@ Freese ring's restrictions between classes.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import deque
 from typing import Callable, Iterable, Sequence
@@ -405,12 +406,11 @@ def matrix_delta_classes(algebra: FiniteAlgebra, theta: Partition, phi: Partitio
     return {p: find(p) for p in parent}
 
 
-def reference_generated(n: int, ops, pairs) -> tuple[tuple[int, ...], ...]:
-    """The least congruence containing `pairs` of the algebra on {0..n-1}
-    whose operations are the (arity, flat table) pairs in `ops`, as sorted
-    blocks.  The per-pair worklist: each pair that merges two classes is
-    pushed through every unary basic translation, built from the tables
-    slot by slot.  A nullary operation has no translations."""
+@functools.lru_cache(maxsize=4)
+def _reference_translations(n: int, ops) -> frozenset:
+    """The unary basic translations of `reference_generated`'s algebra,
+    built from the tables slot by slot; kept for the last few algebras,
+    since a differential test asks for many pairs of one algebra."""
     translations = set()
     for k, table in ops:
         for slot in range(k):
@@ -422,6 +422,16 @@ def reference_generated(n: int, ops, pairs) -> tuple[tuple[int, ...], ...]:
                         idx = idx * n + a
                     row.append(table[idx])
                 translations.add(tuple(row))
+    return frozenset(translations)
+
+
+def reference_generated(n: int, ops, pairs) -> tuple[tuple[int, ...], ...]:
+    """The least congruence containing `pairs` of the algebra on {0..n-1}
+    whose operations are the (arity, flat table) pairs in `ops`, as sorted
+    blocks.  The per-pair worklist: each pair that merges two classes is
+    pushed through every unary basic translation, built from the tables
+    slot by slot.  A nullary operation has no translations."""
+    translations = _reference_translations(n, tuple((k, tuple(table)) for k, table in ops))
     parent = list(range(n))
 
     def find(x):

@@ -40,6 +40,17 @@ def test_nullary_normalized():
     assert op.arity == 1 and op.table == (2, 2, 2)
 
 
+def test_out_of_range_entry_names_the_first_bad_entry():
+    """The range is checked with one min and max; the message still names
+    the first offending entry in table order, not the smallest or largest."""
+    with pytest.raises(ValueError, match=r"operation 'f': entry 5 out of range"):
+        FiniteAlgebra(3, [("f", 1, [0, 5, -1])])
+    with pytest.raises(ValueError, match=r"operation 'f': entry -1 out of range"):
+        FiniteAlgebra(3, [("f", 1, [0, -1, 5])])
+    with pytest.raises(ValueError, match=r"operation 'c': entry 3 out of range"):
+        FiniteAlgebra(3, [("c", 0, [3])])
+
+
 def test_subuniverse_examples(z4, s2):
     assert generate_subuniverse(z4, [0, 1]) == frozenset({0, 1, 2, 3})
     assert generate_subuniverse(z4, [0]) == frozenset({0})
