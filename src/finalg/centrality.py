@@ -212,8 +212,11 @@ def centralizes(
     theta generated by the diagonal pairs of phi: the term condition holds
     exactly when membership in delta is constant on every Delta-class.  A
     failing verdict's witness is the first class, in block order, that
-    mixes a pair in delta with one outside it.
+    mixes a pair in delta with one outside it.  C(phi, 0; delta) holds
+    without the kernel: every column of M(0, phi) is diagonal.
     """
+    if theta.rank == 0 and theta.size == algebra.size:
+        return CentralityVerdict(True, None)
     pairs, part = diagonal_pair_congruence(algebra, theta, phi)
     for blk in part.blocks:
         label0 = delta.related(*pairs[blk[0]])
@@ -261,6 +264,9 @@ def centralizer(algebra: FiniteAlgebra, delta: Partition, theta: Partition) -> P
     if delta.rank and not is_congruence(algebra, delta):
         raise ValueError(f"{delta!r} is not a congruence of the algebra")
     n = algebra.size
+    if theta.rank == 0 and theta.size == n:
+        # C(phi, 0; delta) holds for every phi
+        return Partition.one(n)
     pairs, pos, p0, p1, scaled, flat, rows0, rows1 = _pair_translations(algebra, theta)
     # the refinement runs on the classes of Delta(theta, delta), which lie
     # inside the core (Delta(theta, 0) is 0); the kernel's Delta is memoized
@@ -311,7 +317,10 @@ def two_term_condition(algebra: FiniteAlgebra, theta: Partition) -> TwoTermVerdi
     """Two matrices of M(theta, theta) agreeing in three entries agree in all
     four.  The check runs during generation, so a failing congruence aborts
     at the first conflicting pair; a passing verdict is exhaustive over the
-    fully generated matrix set."""
+    fully generated matrix set.  M(0, 0) is the constant matrices, so
+    theta = 0 passes without a closure."""
+    if theta.rank == 0 and theta.size == algebra.size:
+        return TwoTermVerdict(True, None)
     seen: dict[tuple[int, int, int], int] = {}
     conflict: list = []
 

@@ -301,26 +301,31 @@ def _memoized_pair_translations(algebra: FiniteAlgebra, theta: Partition | None)
     p1 = np.array([b for _, b in pairs], dtype=np.int64)
     pos = np.full(n * n, -1, dtype=np.int64)
     pos[p0 * n + p1] = np.arange(m, dtype=np.int64)
-    # the parameter tuples of one (operation, slot) are the theta-pairs
-    # coordinatewise, enumerated by their index in base m a slice at a time;
-    # a slice holds about six int64 temporaries
-    step = max(1, core._CHUNK_CELLS // 6)
-    codes = np.empty(0, dtype=np.int64)
-    for arity, row_ids in ids:
-        total = m ** (arity - 1)
-        for lo in range(0, total, step):
-            q = np.arange(lo, min(total, lo + step), dtype=np.int64)
-            c0 = np.zeros_like(q)
-            c1 = np.zeros_like(q)
-            scale = 1
-            for _ in range(arity - 1):
-                digit = q % m
-                q //= m
-                c0 += p0[digit] * scale
-                c1 += p1[digit] * scale
-                scale *= n
-            codes = core._distinct(np.concatenate((codes, row_ids[c0] * t + row_ids[c1])))
-    i, j = np.divmod(codes, t)
+    if theta is None:
+        # the parameter tuples of the diagonal pair each tuple with itself,
+        # and every row of the table is some tuple's translation
+        i = j = np.arange(t, dtype=np.int64)
+    else:
+        # the parameter tuples of one (operation, slot) are the theta-pairs
+        # coordinatewise, enumerated by their index in base m a slice at a
+        # time; a slice holds about six int64 temporaries
+        step = max(1, core._CHUNK_CELLS // 6)
+        codes = np.empty(0, dtype=np.int64)
+        for arity, row_ids in ids:
+            total = m ** (arity - 1)
+            for lo in range(0, total, step):
+                q = np.arange(lo, min(total, lo + step), dtype=np.int64)
+                c0 = np.zeros_like(q)
+                c1 = np.zeros_like(q)
+                scale = 1
+                for _ in range(arity - 1):
+                    digit = q % m
+                    q //= m
+                    c0 += p0[digit] * scale
+                    c1 += p1[digit] * scale
+                    scale *= n
+                codes = core._distinct(np.concatenate((codes, row_ids[c0] * t + row_ids[c1])))
+        i, j = np.divmod(codes, t)
     const = (table == table[:, :1]).all(axis=1)
     ident = (table == np.arange(n)).all(axis=1)
     live = ~((const[i] & const[j]) | (ident[i] & ident[j]))

@@ -7,6 +7,15 @@ abelian, d(a, a, b) and d(b, a, a) are delta-congruent to b for every
 (a, b) in theta.  Restricted to a class of an abelian congruence such a d is
 a Maltsev operation, and (class, +, e) with x + y := d(x, e, y) is an
 abelian group.
+
+The condition is checked at principal congruences, in the reading of
+Kearnes and Szendrei (The relationship between two commutators, IJAC 8,
+1998): d(a, a, b) [theta, theta] b [theta, theta] d(b, a, a) for (a, b) in
+theta, where [theta, theta] is the least delta with C(theta, theta; delta)
+(Freese and McKenzie, Commutator Theory for Congruence Modular Varieties,
+1987).  By monotonicity of C it is enough to take theta = Cg(a, b), so one
+self-commutator per distinct principal congruence replaces a sweep of
+Con(A)^2.
 """
 
 from __future__ import annotations
@@ -29,8 +38,14 @@ from .core import (
     is_homomorphism,
     power,
 )
-from .congruences import Partition, congruence_lattice, principal_congruence
-from .centrality import centralizes, is_abelian
+from .congruences import (
+    Partition,
+    _pair_translations,
+    _principal_congruences,
+    congruence_lattice,
+    principal_congruence,
+)
+from .centrality import diagonal_pair_congruence, is_abelian
 from .report import CheckItem, Report
 
 DEFAULT_WDT_SEARCH_CAP = 10**5
@@ -40,10 +55,13 @@ DEFAULT_WDT_SEARCH_CAP = 10**5
 class WdtCertificate:
     """Outcome of checking one candidate ternary table against one algebra.
 
-    `checked` lists every (scope label, delta, theta) pair that was examined;
-    a true verdict means idempotence plus the defining congruence condition
-    on all of them.  `provenance` records whether the table came with a term
-    witness ("term-derived") or was attested by the caller ("table-attested").
+    `checked` lists (scope label, [psi, psi], psi) for every distinct
+    principal congruence psi of each scoped power examined; a true verdict
+    means idempotence plus the defining congruence condition read at them
+    (Kearnes and Szendrei, IJAC 8, 1998; [psi, psi] is the least delta with
+    C(psi, psi; delta), Freese and McKenzie 1987).  `provenance` records
+    whether the table came with a term witness ("term-derived") or was
+    attested by the caller ("table-attested").
     """
 
     algebra: FiniteAlgebra
@@ -60,15 +78,62 @@ class WdtCertificate:
 
 
 @core._memoized
-def _abelian_quotient_pairs(algebra: FiniteAlgebra) -> list[tuple[Partition, Partition]]:
-    """All (delta, theta) in Con(A)^2 with delta <= theta and theta/delta abelian."""
-    con = congruence_lattice(algebra).elements
-    return [
-        (delta, theta)
-        for delta in con
-        for theta in con
-        if delta.leq(theta) and centralizes(algebra, theta, theta, delta).holds
-    ]
+def _self_commutator(algebra: FiniteAlgebra, psi: Partition) -> Partition:
+    """[psi, psi], the least congruence delta with C(psi, psi; delta).
+    C(psi, psi; delta) holds exactly when membership in delta is constant on
+    every class of Delta(psi, psi), so the fixpoint starts from 0 and each
+    round adds every pair of each Delta-class that meets delta, closing them
+    by joining their principal congruences.  Memoized on the algebra."""
+    n = algebra.size
+    _, part = diagonal_pair_congruence(algebra, psi, psi)
+    _, _, p0, p1, *_ = _pair_translations(algebra, psi)
+    principal = _principal_congruences(algebra)[0]
+    cls = np.array(part.index, dtype=np.int64)
+    delta = Partition.zero(n)
+    while True:
+        didx = np.array(delta.index, dtype=np.int64)
+        inside = didx[p0] == didx[p1]
+        meets = np.zeros(len(part.blocks), dtype=bool)
+        meets[cls[inside]] = True
+        added = meets[cls] & ~inside
+        if not added.any():
+            return delta
+        joined = {principal[c] for c in (p0[added] * n + p1[added]).tolist()}
+        for q in sorted(joined, key=lambda q: -q.rank):
+            if not q.leq(delta):
+                delta = delta.join(q)
+
+
+@core._memoized
+def _principal_conditions(algebra: FiniteAlgebra):
+    """The condition of `verify_wdt` and `search_wdt` as arrays over the
+    ordered pairs (a, b), a != b, in lexicographic order: (commutators,
+    cells, offset, target, labels, strict).  `commutators` lists
+    ([psi, psi], psi) for each distinct principal psi, and `labels` their
+    commutators' labels, flattened.  Pair p holds when the entries of d at
+    cells[p], those of d(a, a, b) and d(b, a, a), have the label target[p]
+    of b at offset[p] of `labels`, for psi = Cg(a, b); strict[p] marks
+    [psi, psi] < psi.  Memoized on the algebra.
+
+    [chi, chi] <= [psi, psi] <= psi for chi <= psi, so the principal
+    congruences go finest first, and one that the commutators of the
+    smaller ones already join to skips the fixpoint."""
+    n = algebra.size
+    table, distinct = _principal_congruences(algebra)
+    commutators = []
+    for psi in distinct:
+        lower = Partition.zero(n)
+        for comm, chi in commutators:
+            if chi.leq(psi) and not comm.leq(lower):
+                lower = lower.join(comm)
+        commutators.append((psi if lower == psi else _self_commutator(algebra, psi), psi))
+    number = {psi: i for i, psi in enumerate(distinct)}
+    a, b = np.nonzero(~np.eye(n, dtype=bool))
+    k = np.array([number[table[c]] for c in (a * n + b).tolist()], dtype=np.int64)
+    labels = np.array([comm.index for comm, _ in commutators], dtype=np.int64).reshape(-1)
+    strict = np.array([comm != psi for comm, psi in commutators], dtype=bool)
+    cells = np.column_stack(((a * n + a) * n + b, (b * n + a) * n + a))
+    return tuple(commutators), cells, k * n, labels[k * n + b], labels, strict[k]
 
 
 def verify_wdt(
@@ -85,6 +150,12 @@ def verify_wdt(
     its square and cube (with d lifted coordinatewise).  The variety-level
     property is not finitely checkable; the certificate records exactly what
     was examined.
+
+    The check reads the condition at principal congruences: for every
+    a != b, d(a, a, b) and d(b, a, a) are [psi, psi]-related to b for
+    psi = Cg(a, b) (Kearnes and Szendrei, IJAC 8, 1998), [psi, psi] the least
+    delta with C(psi, psi; delta) (Freese and McKenzie 1987).  Every pair is
+    checked, since an attested table need not be a term.
     """
     n = algebra.size
     d = tuple(int(x) for x in d)
@@ -104,27 +175,23 @@ def verify_wdt(
 
     for k in scope:
         alg_k = algebra if k == 1 else power(algebra, k)
-        d_k = d if k == 1 else power(FiniteAlgebra(n, [("d", 3, d)]), k).operations[0].table
-        m = alg_k.size
+        d_k = np.array(d if k == 1 else power(FiniteAlgebra(n, [("d", 3, d)]), k).operations[0].table)
         label = f"A^{k}" if k > 1 else "A"
-        for delta, theta in _abelian_quotient_pairs(alg_k):
-            checked.append((label, delta, theta))
-            didx = delta.index
-            for blk in theta.blocks:
-                for a in blk:
-                    for b in blk:
-                        left = d_k[(a * m + a) * m + b]
-                        right = d_k[(b * m + a) * m + a]
-                        if didx[left] != didx[b] or didx[right] != didx[b]:
-                            return WdtCertificate(
-                                algebra,
-                                d,
-                                scope,
-                                tuple(checked),
-                                False,
-                                ("congruence-condition", label, delta, theta, (a, b)),
-                                provenance,
-                            )
+        commutators, cells, offset, target, labels, _ = _principal_conditions(alg_k)
+        checked.extend((label, comm, psi) for comm, psi in commutators)
+        bad = np.flatnonzero((labels[offset[:, None] + d_k[cells]] != target[:, None]).any(axis=1))
+        if bad.size:
+            m, cell = alg_k.size, int(cells[bad[0], 0])
+            comm, psi = commutators[offset[bad[0]] // m]
+            return WdtCertificate(
+                algebra,
+                d,
+                scope,
+                tuple(checked),
+                False,
+                ("congruence-condition", label, comm, psi, (cell // m**2, cell % m)),
+                provenance,
+            )
     return WdtCertificate(algebra, d, scope, tuple(checked), True, None, provenance)
 
 
@@ -183,29 +250,30 @@ def search_wdt(
     idx = np.arange(w, dtype=np.int64)
     projections = np.stack([idx // (n * n), (idx // n) % n, idx % n]).astype(np.int64)
 
-    quotient_pairs = _abelian_quotient_pairs(algebra)
+    # one gather checks idempotence, as the labels xs of 0, and the pairs
+    # with [psi, psi] < psi; the others hold for every idempotent term d,
+    # since d(a, a, b) psi d(a, a, a) = a psi b for (a, b) in psi
+    _, pair_cells, pair_offset, pair_target, pair_labels, strict = _principal_conditions(algebra)
     xs = np.arange(n, dtype=np.int64)
-    diag = (xs * n + xs) * n + xs
+    labels = np.concatenate((pair_labels, xs))
+    cells = np.concatenate(((xs * n + xs) * n + xs, pair_cells[strict].ravel()))
+    offset = np.concatenate((np.full(n, len(pair_labels)), np.repeat(pair_offset[strict], 2)))
+    target = np.concatenate((xs, np.repeat(pair_target[strict], 2)))
+    # a slice of the check holds about three int64 temporaries per cell
+    check_step = max(1, core._CHUNK_CELLS // (3 * len(cells)))
 
-    def passes(row: np.ndarray) -> bool:
-        if not np.array_equal(row[diag], xs):
-            return False
-        for delta, theta in quotient_pairs:
-            didx = delta.index
-            for blk in theta.blocks:
-                for a in blk:
-                    for b in blk:
-                        if (
-                            didx[row[(a * n + a) * n + b]] != didx[b]
-                            or didx[row[(b * n + a) * n + a]] != didx[b]
-                        ):
-                            return False
-        return True
+    def first_pass(rows: np.ndarray) -> WdtCertificate | None:
+        for lo in range(0, len(rows), check_step):
+            ok = (labels[offset + rows[lo : lo + check_step, cells]] == target).all(axis=1)
+            hit = np.flatnonzero(ok)
+            if hit.size:
+                return verify_wdt(algebra, rows[lo + hit[0]].tolist(), provenance="term-derived")
+        return None
 
     known = {row.tobytes() for row in projections}
-    for row in projections:
-        if passes(row):
-            return verify_wdt(algebra, row.tolist(), provenance="term-derived")
+    hit = first_pass(projections)
+    if hit is not None:
+        return hit
 
     all_rows = projections
     old_rows = np.empty((0, w), dtype=np.int64)
@@ -248,9 +316,9 @@ def search_wdt(
         # the fresh rows are distinct, so a lexicographic sort orders the level
         fresh = np.array(fresh_rows, dtype=np.int64)
         fresh = fresh[np.lexsort(fresh.T[::-1])]
-        for row in fresh:
-            if passes(row):
-                return verify_wdt(algebra, row.tolist(), provenance="term-derived")
+        hit = first_pass(fresh)
+        if hit is not None:
+            return hit
         old_rows = all_rows
         all_rows = np.concatenate([all_rows, fresh], axis=0)
         frontier = fresh

@@ -19,7 +19,9 @@ checked bridges, quotients and homomorphisms before the one materializer.
 `reference_freese_carrier` are the backtracks and the brute force that found
 division-ring carriers, isomorphisms and Freese-ring carriers before the one
 homomorphism search.  `brute_hom_sets` filters `brute_pol1` down to the
-Freese ring's restrictions between classes.
+Freese ring's restrictions between classes.  `reference_abelian_quotient_pairs`
+and `reference_wdt_verdict` are the sweep of Con(A)^2 that checked weak
+difference terms before the check read them at principal congruences.
 """
 
 from __future__ import annotations
@@ -735,3 +737,46 @@ def reference_freese_carrier(n: int, d, classes, base_points, restrictions) -> t
         return True
 
     return tuple(tup for tup in itertools.product(*endos) if commutes(tup))
+
+
+def reference_abelian_quotient_pairs(algebra: FiniteAlgebra) -> list[tuple[Partition, Partition]]:
+    """Every (delta, theta) in Con(A)^2 with delta <= theta and
+    C(theta, theta; delta), on the brute-force congruence list and term
+    condition: the sweep the weak-difference-term check ran before it read
+    the condition at principal congruences."""
+    con = brute_congruences(algebra)
+    return [
+        (delta, theta)
+        for delta in con
+        for theta in con
+        if all(theta.related(a, b) for a, b in delta.pairs())
+        and brute_centralizes(algebra, theta, theta, delta)
+    ]
+
+
+@functools.lru_cache(maxsize=4)
+def _reference_quotient_pairs_of(n: int, ops) -> list[tuple[Partition, Partition]]:
+    """`reference_abelian_quotient_pairs` of the last few algebras, so that a
+    sweep of tables over one algebra does not rebuild them."""
+    return reference_abelian_quotient_pairs(FiniteAlgebra(n, [(name, k, list(t)) for name, k, t in ops]))
+
+
+def reference_wdt_verdict(algebra: FiniteAlgebra, d: Sequence[int], scope=(1,)) -> bool:
+    """Is the ternary table d idempotent, with d(a, a, b) delta b delta
+    d(b, a, a) for every (a, b) in theta and every pair of
+    `reference_abelian_quotient_pairs`, on each power A^k of the scope?  A^k
+    and d on it are built coordinatewise by `reference_restrict`."""
+    n = algebra.size
+    if any(d[(x * n + x) * n + x] != x for x in range(n)):
+        return False
+    for k in scope:
+        rows = list(itertools.product(range(n), repeat=k))
+        tables, _ = reference_restrict([algebra] * k, rows)
+        (d_k,), _ = reference_restrict([FiniteAlgebra(n, [("d", 3, list(d))])] * k, rows)
+        m = len(rows)
+        ops = tuple((op.name, op.arity, tuple(t)) for op, t in zip(algebra.operations, tables))
+        for delta, theta in _reference_quotient_pairs_of(m, ops):
+            for a, b in theta.pairs():
+                if not (delta.related(d_k[(a * m + a) * m + b], b) and delta.related(d_k[(b * m + a) * m + a], b)):
+                    return False
+    return True

@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 import itertools
 from pathlib import Path
@@ -234,3 +235,20 @@ def test_search_wdt_survives_hash_collisions(monkeypatch, z2, z4, s2, two_sq, ge
         diffterm, "_row_hashes", lambda rows, salt: np.zeros(len(rows), dtype=np.int64)
     )
     assert [_search_outcome(algebra, 600) for algebra in algebras] == expected
+
+
+# SHA-256 of every `search_wdt(cap=600)` outcome below, as computed before
+# the check read the condition at principal congruences: the table and the
+# verdict of a found term, None when the clone has none, or the cap message.
+# `checked` is left out, since it now lists one entry per principal congruence.
+SEARCH_OUTCOMES_SHA256 = "37026ccb99b9d2ccfb5d162f850e5e6509f7d1923c130740b8a1e0396d9171cd"
+
+
+def test_search_wdt_outcomes_are_pinned(z2, z4, s2, gen1, gen2, gen3):
+    algebras = [FiniteAlgebra(n, ops) for n, ops in _random_algebras(11, 216)]
+    algebras += [z2, z4, s2, gen1.algebra, gen2.algebra, gen3.algebra]
+    outcomes = []
+    for algebra in algebras:
+        outcome = _search_outcome(algebra, 600)
+        outcomes.append(outcome[:2] if outcome is not None and outcome[0] != "cap" else outcome)
+    assert hashlib.sha256(repr(outcomes).encode()).hexdigest() == SEARCH_OUTCOMES_SHA256
