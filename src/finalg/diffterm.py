@@ -133,7 +133,8 @@ def _principal_conditions(algebra: FiniteAlgebra):
     labels = np.array([comm.index for comm, _ in commutators], dtype=np.int64).reshape(-1)
     strict = np.array([comm != psi for comm, psi in commutators], dtype=bool)
     cells = np.column_stack(((a * n + a) * n + b, (b * n + a) * n + a))
-    return tuple(commutators), cells, k * n, labels[k * n + b], labels, strict[k]
+    offset = k * n
+    return tuple(commutators), cells, offset, labels[offset + b], labels, strict[k]
 
 
 def verify_wdt(
@@ -175,7 +176,7 @@ def verify_wdt(
 
     for k in scope:
         alg_k = algebra if k == 1 else power(algebra, k)
-        d_k = np.array(d if k == 1 else power(FiniteAlgebra(n, [("d", 3, d)]), k).operations[0].table)
+        d_k = np.array(d) if k == 1 else power(FiniteAlgebra(n, [("d", 3, d)]), k).operations[0].array()
         label = f"A^{k}" if k > 1 else "A"
         commutators, cells, offset, target, labels, _ = _principal_conditions(alg_k)
         checked.extend((label, comm, psi) for comm, psi in commutators)
