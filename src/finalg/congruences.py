@@ -11,9 +11,10 @@ worklist (R. Freese, Computing congruences efficiently, Algebra Universalis
 59, 2008) on the pair algebra of a congruence theta, run a round at a time
 in numpy.  A unary translation of the pair algebra is a product t_a x t_b of
 two basic translations of the algebra (one basic operation, one free slot,
-parameter tuples a and b related by theta coordinatewise), so the kernel
-keeps the deduplicated basic translations once per algebra and the pair
-translations as pairs of row ids once per theta; no table of the pair
+parameter tuples a and b related by theta coordinatewise, that is, with the
+same tuple C of theta-classes), so the kernel keeps the deduplicated basic
+translations once per algebra and, once per theta, the union of R_C x R_C as
+pairs of row ids, R_C the row ids of the tuples in C; no table of the pair
 algebra is built.  `congruence_generated` is the case theta = 0, whose pair
 algebra, the diagonal, is a copy of the algebra; the pair algebras of the
 term condition (`centrality.generated_pair_congruence`) are the others.
@@ -238,13 +239,19 @@ def compose_relations(p: Partition, q: Partition) -> frozenset[tuple[int, int]]:
 
 @core._memoized
 def _base_translations(algebra: FiniteAlgebra):
-    """(table, ids): the distinct unary basic translations of the algebra
-    as the rows of one (t, n) table, and for each operation and slot the
-    arity and the row id of every parameter tuple, in lexicographic code
-    order.  Memoized on the algebra.
+    """(table, keyed): the distinct unary basic translations of the algebra
+    as the rows of one (t, n) table, and (params, weights, base, kind), which
+    key every parameter tuple for `_memoized_pair_translations`.  Memoized.
 
     A basic translation fixes one argument slot of a basic operation and
-    fills the others with parameters.
+    fills the others with a parameter tuple.  `params` lists the tuples of
+    each (operation, slot) in lexicographic order, padded in front with 0.
+    For labels with labels[0] = 0, labels[params] @ weights + base is
+    (s + c) * t + r: the tuples of the (operation, slot) start at s, c codes
+    the labels of the tuple in base n and r is the row id of its translation.
+    kind is (k, k'): k[r] is 0 for a constant row, 1 for the identity and 2
+    otherwise, and k' is k with 3 for 2, so that k[i] == k'[j] exactly when
+    rows i and j are both constant or both the identity.
     """
     n = algebra.size
     blocks = [
@@ -256,13 +263,14 @@ def _base_translations(algebra: FiniteAlgebra):
     keys = rows.view(np.dtype((np.void, rows.itemsize * n))).ravel()
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
     table = rows[first]
-    ids = []
-    start = 0
-    for op in algebra.operations:
-        for _ in range(op.arity):
-            ids.append((op.arity, inverse[start : start + n ** (op.arity - 1)]))
-            start += n ** (op.arity - 1)
-    return table, ids
+    t = len(table)
+    place = np.concatenate([np.arange(len(b)) for b in blocks]) if blocks else np.empty(0, dtype=np.int64)
+    w = max([op.arity - 1 for op in algebra.operations] + [0])
+    powers = n ** np.arange(w - 1, -1, -1, dtype=np.int64)
+    kind = np.where((table == table[:, :1]).all(axis=1), 0, 2 - (table == np.arange(n)).all(axis=1))
+    params = place[:, None] // powers % n
+    base = (np.arange(len(rows)) - place) * t + inverse
+    return table, (params, powers * t, base, (kind, np.where(kind == 2, 3, kind)))
 
 
 def _pair_translations(algebra: FiniteAlgebra, theta: Partition | None):
@@ -273,11 +281,13 @@ def _pair_translations(algebra: FiniteAlgebra, theta: Partition | None):
     lists the universe, p0 and p1 are its coordinate arrays and
     pos[x0 * n + x1] is the index of the pair (x0, x1), -1 off the universe.
     A translation of the pair algebra acts as (x0, x1) -> (t_i(x0), t_j(x1))
-    for two base translations t_i, t_j whose parameter tuples are
-    theta-related coordinatewise.  It is stored as the offsets rows0 = i * n
-    and rows1 = j * n, one (P, 1) column each, into `flat`, the base
-    translation table flattened, and `scaled` = flat * n, so that it sends
-    the pair (x0, x1) to pos[scaled[rows0 + x0] + flat[rows1 + x1]].
+    for two base translations t_i, t_j of one (operation, slot) whose
+    parameter tuples have the same tuple of theta-classes; the pairs (i, j)
+    are found by class tuple, a slice at a time within `core._CHUNK_CELLS`,
+    and sorted.  They are stored as the offsets rows0 = i * n and
+    rows1 = j * n, one (P, 1) column each, into `flat`, the base
+    translation table flattened, and `scaled` = flat * n, so that a
+    translation sends (x0, x1) to pos[scaled[rows0 + x0] + flat[rows1 + x1]].
     Translations that never relate two distinct elements (both factors
     constant, or the identity twice) are dropped.  A theta of rank 0 shares
     the entry of None; a theta that is not a congruence raises ValueError.
@@ -292,43 +302,32 @@ def _memoized_pair_translations(algebra: FiniteAlgebra, theta: Partition | None)
     n = algebra.size
     if theta is not None and not is_congruence(algebra, theta):
         raise ValueError(f"{theta!r} is not a congruence of the algebra")
-    table, ids = _base_translations(algebra)
+    table, (params, weights, base, kind) = _base_translations(algebra)
     t = len(table)
-    blocks = [[x] for x in range(n)] if theta is None else theta.blocks
-    pairs = sorted((a, b) for blk in blocks for a in blk for b in blk)
-    m = len(pairs)
-    p0 = np.array([a for a, _ in pairs], dtype=np.int64)
-    p1 = np.array([b for _, b in pairs], dtype=np.int64)
+    labels = np.arange(n) if theta is None else np.array(theta.index, dtype=np.int64)
+    related = labels[:, None] == labels
+    p0, p1 = related.nonzero()
+    pairs = list(zip(p0.tolist(), p1.tolist()))
     pos = np.full(n * n, -1, dtype=np.int64)
-    pos[p0 * n + p1] = np.arange(m, dtype=np.int64)
-    if theta is None:
-        # the parameter tuples of the diagonal pair each tuple with itself,
-        # and every row of the table is some tuple's translation
-        i = j = np.arange(t, dtype=np.int64)
-    else:
-        # the parameter tuples of one (operation, slot) are the theta-pairs
-        # coordinatewise, enumerated by their index in base m a slice at a
-        # time; a slice holds about six int64 temporaries
-        step = max(1, core._CHUNK_CELLS // 6)
-        codes = np.empty(0, dtype=np.int64)
-        for arity, row_ids in ids:
-            total = m ** (arity - 1)
-            for lo in range(0, total, step):
-                q = np.arange(lo, min(total, lo + step), dtype=np.int64)
-                c0 = np.zeros_like(q)
-                c1 = np.zeros_like(q)
-                scale = 1
-                for _ in range(arity - 1):
-                    digit = q % m
-                    q //= m
-                    c0 += p0[digit] * scale
-                    c1 += p1[digit] * scale
-                    scale *= n
-                codes = core._distinct(np.concatenate((codes, row_ids[c0] * t + row_ids[c1])))
-        i, j = np.divmod(codes, t)
-    const = (table == table[:, :1]).all(axis=1)
-    ident = (table == np.arange(n)).all(axis=1)
-    live = ~((const[i] & const[j]) | (ident[i] & ident[j]))
+    pos[related.ravel()] = np.arange(len(pairs), dtype=np.int64)
+    keys = core._distinct(labels[params] @ weights + base)
+    row = keys % t
+    group = keys - row
+    # key p pairs with the keys lo[p] .. hi[p] - 1 of its group: it owns the
+    # cells end[p] - (hi[p] - lo[p]) .. end[p] - 1, and cell c pairs it with
+    # key c - shift[p].  A slice of cells holds about six int64 temporaries.
+    hi = keys.searchsorted(group + t)
+    end = np.add.accumulate(hi - keys.searchsorted(group))
+    shift = end - hi
+    total = int(end[-1]) if len(end) else 0
+    step = max(1, core._CHUNK_CELLS // 6)
+    codes = np.empty(0, dtype=np.int64)
+    for start in range(0, total, step):
+        c = np.arange(start, min(total, start + step), dtype=np.int64)
+        p = end.searchsorted(c, side="right")
+        codes = core._distinct(np.concatenate((codes, row[p] * t + row[c - shift[p]])))
+    i, j = np.divmod(codes, t)
+    live = kind[0][i] != kind[1][j]
     flat = table.ravel()
     return pairs, pos, p0, p1, flat * n, flat, (i[live] * n)[:, None], (j[live] * n)[:, None]
 

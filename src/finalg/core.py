@@ -515,8 +515,10 @@ def _distinct(codes: np.ndarray) -> np.ndarray:
     """The distinct values of an int64 array, sorted.  A sort and a mask: on
     int64 this is several times faster than `np.unique` at numpy 2.4, which
     also imports `numpy.ma` on its first call."""
-    codes = np.sort(codes)
-    keep = np.ones(len(codes), dtype=bool)
+    codes = codes.copy()
+    codes.sort()
+    keep = np.empty(len(codes), dtype=bool)
+    keep[:1] = True
     np.not_equal(codes[1:], codes[:-1], out=keep[1:])
     return codes[keep]
 
@@ -698,8 +700,9 @@ def product(a: FiniteAlgebra, b: FiniteAlgebra) -> DirectProduct:
     return DirectProduct(_materialize([a, b], rows)[0], a.size, b.size)
 
 
+@_memoized
 def power(a: FiniteAlgebra, k: int) -> FiniteAlgebra:
-    """A^k, materialized on its tuples in row-major order."""
+    """A^k, materialized on its tuples in row-major order; memoized on A."""
     if k < 1:
         raise ValueError("power expects k >= 1")
     rows = np.indices((a.size,) * k).reshape(k, -1).T

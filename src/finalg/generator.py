@@ -22,7 +22,7 @@ from .core import CapExceededError, FiniteAlgebra, closure_in_power
 from .congruences import Partition, congruence_lattice, structure_report
 from .centrality import centralizer
 from .diffalg import difference_algebra, range_of_class
-from .diffterm import certificate_from_operation
+from .diffterm import _is_prime, certificate_from_operation
 from .similarity import division_ring
 from .report import CheckItem, Report
 
@@ -71,10 +71,6 @@ def _poly_mod(coeffs: list[int], modulus: Sequence[int], p: int) -> list[int]:
         for i in range(k):
             coeffs[deg - k + i] = (coeffs[deg - k + i] - lead * modulus[i]) % p
     return coeffs + [0] * (k - len(coeffs))
-
-
-def _is_prime(p: int) -> bool:
-    return p >= 2 and all(p % d for d in range(2, int(p**0.5) + 1))
 
 
 def _poly_irreducible(modulus: Sequence[int], p: int) -> bool:

@@ -427,6 +427,38 @@ def _reference_translations(n: int, ops) -> frozenset:
     return frozenset(translations)
 
 
+def reference_pair_translations(n: int, ops, blocks) -> set:
+    """The unary translations t_i x t_j of the pair algebra of the partition
+    `blocks`, as pairs of translation rows built from the tables slot by
+    slot: for each operation and slot, every two parameter tuples related by
+    the partition coordinatewise.  Pairs that never relate two distinct
+    elements (both rows constant, or both the identity) are left out."""
+    label = {x: i for i, blk in enumerate(blocks) for x in blk}
+    identity = tuple(range(n))
+
+    def row(table, slot, params):
+        out = []
+        for x in range(n):
+            idx = 0
+            for a in params[:slot] + (x,) + params[slot:]:
+                idx = idx * n + a
+            out.append(table[idx])
+        return tuple(out)
+
+    found = set()
+    for k, table in ops:
+        tuples = list(itertools.product(range(n), repeat=k - 1)) if k else []
+        for slot in range(k):
+            for a in tuples:
+                for b in tuples:
+                    if all(label[x] == label[y] for x, y in zip(a, b)):
+                        ti, tj = row(table, slot, a), row(table, slot, b)
+                        if len(set(ti)) == len(set(tj)) == 1 or ti == tj == identity:
+                            continue
+                        found.add((ti, tj))
+    return found
+
+
 def reference_generated(n: int, ops, pairs) -> tuple[tuple[int, ...], ...]:
     """The least congruence containing `pairs` of the algebra on {0..n-1}
     whose operations are the (arity, flat table) pairs in `ops`, as sorted

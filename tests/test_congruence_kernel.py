@@ -1,7 +1,8 @@
 """The one congruence kernel against the per-pair worklist on operation
 tables: `congruence_generated` on the algebra, and `generated_pair_congruence`
-on a materialized pair algebra, at the default slice budget and at a budget
-of a few cells, which slices every gather and every enumeration."""
+on a materialized pair algebra, and the pair translations it reads against
+their construction from the tables, at the default slice budget and at a
+budget of a few cells, which slices every gather and every expansion."""
 
 import itertools
 from unittest import mock
@@ -11,8 +12,14 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from finalg import FiniteAlgebra, Partition, congruence_generated, core
 from finalg.centrality import generated_pair_congruence
+from finalg.congruences import _pair_translations
 
-from oracles import reference_generated, reference_pair_algebra
+from oracles import (
+    brute_congruences,
+    reference_generated,
+    reference_pair_algebra,
+    reference_pair_translations,
+)
 
 
 @st.composite
@@ -83,6 +90,38 @@ def test_kernel_matches_per_pair_worklist(case, tiny):
     assert got.blocks == expected
     assert got_pairs == pairs
     assert got_part.blocks == expected_pairs
+
+
+@pytest.mark.parametrize("budget", [None, 16])
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(case=cases())
+@example(case=(4, [], [(0, 1)], [], [(0, 0)]))
+@example(case=(3, [(0, [2]), (1, [1, 1, 0])], [(0, 1)], [], [(0, 0)]))
+@example(case=_affine_quaternary())
+def test_pair_translations_match_reference(case, budget):
+    """Every theta, the rank-0 partition and None alike, gets the
+    translations built from the tables, with the pairs of row ids strictly
+    increasing and the universe in lexicographic order."""
+    n, ops = case[:2]
+    algebra = _algebra(n, ops)
+    thetas = [None, Partition.zero(n)] + brute_congruences(algebra)
+    with mock.patch.object(core, "_CHUNK_CELLS", budget or core._CHUNK_CELLS):
+        for theta in thetas:
+            blocks = [[x] for x in range(n)] if theta is None else theta.blocks
+            # a fresh algebra for each theta and budget: the translations are memoized
+            pairs, pos, p0, p1, scaled, flat, rows0, rows1 = _pair_translations(_algebra(n, ops), theta)
+            universe = sorted((a, b) for blk in blocks for a in blk for b in blk)
+            assert pairs == universe
+            assert p0.tolist() == [a for a, _ in universe] and p1.tolist() == [b for _, b in universe]
+            assert [i for i in range(n * n) if pos[i] >= 0] == [a * n + b for a, b in universe]
+            assert (pos[p0 * n + p1] == range(len(pairs))).all()
+            assert (scaled == flat * n).all()
+            table = flat.reshape(-1, n)
+            i, j = rows0[:, 0] // n, rows1[:, 0] // n
+            codes = i * len(table) + j
+            assert (codes[1:] > codes[:-1]).all()
+            got = {(tuple(table[a].tolist()), tuple(table[b].tolist())) for a, b in zip(i, j)}
+            assert got == reference_pair_translations(n, ops, blocks)
 
 
 def test_seeds_outside_the_universe_are_rejected():

@@ -4,6 +4,7 @@ entries, validation runs before the lookup, and the memo belongs to its
 algebra."""
 
 import dataclasses
+from unittest import mock
 
 import pytest
 
@@ -14,8 +15,11 @@ from finalg import (
     certificate_from_operation,
     class_group,
     congruence_lattice,
+    core,
+    diffterm,
     fixtures,
     generate_matrices,
+    verify_wdt,
 )
 from finalg.centrality import diagonal_pair_congruence
 from finalg.congruences import _pair_translations
@@ -63,6 +67,29 @@ def test_rank_zero_theta_shares_the_entry_of_none():
     size = len(algebra._cache)
     assert _pair_translations(algebra, None) is first
     assert len(algebra._cache) == size
+
+
+def test_verify_wdt_keeps_the_powers_between_calls():
+    """A^k is memoized on A, so a second scoped call reads the condition
+    table of A^2 from the memo of A^2 and builds nothing there."""
+    algebra = fixtures.z4()
+    d = algebra.operation("p").table
+    assert core.power(algebra, 2) is core.power(algebra, 2)
+    first = verify_wdt(algebra, d, scope=(1, 2))
+    square = core.power(algebra, 2)
+    entry = square._cache[(diffterm._principal_conditions.__wrapped__,)]
+    built = []
+    memo = core._memo
+
+    def spy(alg, key, build):
+        built.append((alg, key))
+        return memo(alg, key, build)
+
+    with mock.patch.object(core, "_memo", spy):
+        second = verify_wdt(algebra, d, scope=(1, 2))
+    assert not [key for alg, key in built if alg is square]
+    assert square._cache[(diffterm._principal_conditions.__wrapped__,)] is entry
+    assert (second.verdict, second.checked) == (first.verdict, first.checked)
 
 
 def test_class_group_checks_the_certificate_before_the_lookup():

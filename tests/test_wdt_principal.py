@@ -1,17 +1,15 @@
 """The weak-difference-term check at principal congruences, against the
-brute-force sweep of Con(A)^2, and the theta = 0 shortcuts it rests on:
-the pair translations of the diagonal without enumeration, and the term
-condition, the two-term condition and the centralizer at theta = 0 without
-the kernel or a closure."""
+brute-force sweep of Con(A)^2, and the theta = 0 shortcuts it rests on: the
+term condition, the two-term condition and the centralizer at theta = 0
+without the kernel or a closure."""
 
 import itertools
 import random
-from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from finalg import FiniteAlgebra, Partition, core, verify_wdt
+from finalg import FiniteAlgebra, Partition, verify_wdt
 from finalg import centrality, congruences, diffterm
 from finalg.centrality import centralizer, centralizes, two_term_condition
 
@@ -24,7 +22,6 @@ from oracles import (
     reference_wdt_verdict,
     seed_matrices,
 )
-from test_diffterm import _random_algebras
 
 
 @st.composite
@@ -132,24 +129,6 @@ def test_verify_wdt_reports_principal_pairs(z2, gen1):
     assert cert.verdict
     assert [label for label, _, _ in cert.checked].count("A") == 2
     assert len(cert.checked) == 15
-
-
-def _enumerated_pair_translations(algebra):
-    """The diagonal's pair translations by the enumeration of parameter
-    tuples: a rank-0 theta, passed past `_pair_translations`."""
-    return congruences._memoized_pair_translations(algebra, Partition.zero(algebra.size))
-
-
-@pytest.mark.parametrize("budget", [None, 16])
-def test_diagonal_pair_translations_match_enumeration(budget):
-    cases = _random_algebras(4, 216) + [(3, [("q", 3, [(x - y + z) % 3 for x, y, z in itertools.product(range(3), repeat=3)])])]
-    with mock.patch.object(core, "_CHUNK_CELLS", budget or core._CHUNK_CELLS):
-        for n, ops in cases:
-            fast = congruences._memoized_pair_translations(FiniteAlgebra(n, ops), None)
-            slow = _enumerated_pair_translations(FiniteAlgebra(n, ops))
-            assert fast[0] == slow[0]
-            for a, b in zip(fast[1:], slow[1:]):
-                assert a.dtype == b.dtype and a.shape == b.shape and (a == b).all()
 
 
 def _no_kernel(monkeypatch):
