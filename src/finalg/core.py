@@ -2,14 +2,15 @@
 
 An algebra lives on the universe {0, .., n-1}.  Each operation is a finitary
 map given by a flat row-major table (index of (a_1, .., a_k) is the base-n
-number a_1 a_2 .. a_k).  Everything in this package consumes this one
-representation.  Derived algebras are materialized back into the same form
-by one row-major grid gather, `_apply_combos`: `_materialize` builds every
-subalgebra of a product on its row indices (products, powers, pair
-algebras, traces) from the results that `_restricted_results` places, which
-also checks a relation for closure without building it; `quotient` gathers
-over block representatives, and `is_homomorphism` checks a map with the
-same gather.
+number a_1 a_2 .. a_k), stored as one read-only int64 array; `.table` is a
+tuple view of it, built on first use, for callers outside the library.
+Everything in this package consumes this one representation.  Derived
+algebras are materialized back into the same form by one row-major grid
+gather, `_apply_combos`: `_materialize` builds every subalgebra of a product
+on its row indices (products, powers, pair algebras, traces) from the
+results that `_restricted_results` places, which also checks a relation for
+closure without building it; `quotient` gathers over block representatives,
+and `is_homomorphism` checks a map with the same gather.
 
 Operation tables, element maps and the other values here are immutable after
 construction.  Each `FiniteAlgebra` also carries a private memo, `_cache`, of
@@ -27,6 +28,7 @@ from __future__ import annotations
 import functools
 import inspect
 import itertools
+import zlib
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -93,20 +95,37 @@ class SignatureMismatchError(ValueError):
 
 
 class Operation:
-    """A named k-ary operation table on {0, .., n-1}."""
+    """A named k-ary operation table on {0, .., n-1}: one read-only int64
+    array, `array()`, kept as given when it is one and copied otherwise;
+    entries that are not integers raise ValueError.  `.table` is the same
+    table as a tuple of Python ints, built on first use."""
 
-    __slots__ = ("name", "arity", "table", "_array")
+    __slots__ = ("name", "arity", "_array", "_table", "_hash")
 
-    def __init__(self, name: str, arity: int, table: Sequence[int]):
+    def __init__(self, name: str, arity: int, table):
         self.name = str(name)
         self.arity = int(arity)
-        self.table = tuple(map(int, table))
-        self._array: np.ndarray | None = None
+        array = np.asarray(table)
+        # numpy reads a bool among ints as an int, so a sequence is checked for one
+        if array.ndim != 1 or (array.size and array.dtype.kind not in "iu") or (
+            array is not table and bool in set(map(type, table))
+        ):
+            raise ValueError(f"operation '{self.name}': table entries must be integers")
+        kept = array is not table or not array.flags.writeable  # no caller can write to it
+        if array.dtype != np.int64 or not (kept and array.flags.c_contiguous):
+            array = array.astype(np.int64)
+        self._array = _frozen(array)
+        self._table: tuple[int, ...] | None = None
+        # a checksum of the bytes in place: a copy of a large table can exhaust memory
+        self._hash = hash((self.name, self.arity, zlib.crc32(array)))
+
+    @property
+    def table(self) -> tuple[int, ...]:
+        if self._table is None:
+            self._table = tuple(self._array.tolist())
+        return self._table
 
     def array(self) -> np.ndarray:
-        if self._array is None:
-            self._array = np.asarray(self.table, dtype=np.int64)
-            self._array.setflags(write=False)
         return self._array
 
     def __eq__(self, other):
@@ -114,11 +133,11 @@ class Operation:
             isinstance(other, Operation)
             and self.name == other.name
             and self.arity == other.arity
-            and self.table == other.table
+            and np.array_equal(self._array, other._array)
         )
 
     def __hash__(self):
-        return hash((self.name, self.arity, self.table))
+        return self._hash
 
     def __repr__(self):
         return f"Operation({self.name!r}, arity={self.arity})"
@@ -141,22 +160,18 @@ class FiniteAlgebra:
         self.size = size
         ops = []
         for spec in operations:
-            if isinstance(spec, Operation):
-                name, arity, table = spec.name, spec.arity, spec.table
-            else:
-                name, arity, table = spec
-            if arity == 0:
-                # one table entry naming a constant; widen to a unary table
-                (c,) = table
-                name, arity, table = name, 1, [c] * size
-            op = Operation(name, arity, table)
-            if len(op.table) != size**op.arity:
+            op = spec if isinstance(spec, Operation) else Operation(*spec)
+            table = op.array()
+            if len(table) != size**op.arity:
                 raise ValueError(
-                    f"operation '{op.name}': table length {len(op.table)} != {size}^{op.arity}"
+                    f"operation '{op.name}': table length {len(table)} != {size}^{op.arity}"
                 )
-            if min(op.table) < 0 or max(op.table) >= size:
-                entry = next(e for e in op.table if not 0 <= e < size)
+            if table.min() < 0 or table.max() >= size:
+                entry = table[(table < 0) | (table >= size)][0]
                 raise ValueError(f"operation '{op.name}': entry {entry} out of range")
+            if op.arity == 0:
+                # one table entry naming a constant; widen to a unary table
+                op = Operation(op.name, 1, _frozen(np.repeat(table, size)))
             ops.append(op)
         self.operations = tuple(ops)
         self._ops_by_name = {op.name: op for op in self.operations}
@@ -198,7 +213,7 @@ class FiniteAlgebra:
         if len(names) != len(self.operations):
             raise ValueError("need one name per operation")
         return FiniteAlgebra(
-            self.size, [(nm, op.arity, op.table) for nm, op in zip(names, self.operations)]
+            self.size, [(nm, op.arity, op.array()) for nm, op in zip(names, self.operations)]
         )
 
 
@@ -271,7 +286,7 @@ def evaluate(algebra: FiniteAlgebra, op_name: str, args: Sequence[int]) -> int:
         if not 0 <= a < algebra.size:
             raise ValueError(f"element {a} out of range")
         idx = idx * algebra.size + a
-    return op.table[idx]
+    return int(op.array()[idx])
 
 
 # ---------------------------------------------------------------------------
@@ -359,13 +374,22 @@ def _materialize(
     coordinatewise, and otherwise (None, (op name, argument rows, result
     row)), as `_restricted_results` finds it.
     """
-    tables: list[list[int]] = [[] for _ in factors[0].operations]
+    # each table is filled in place, slice by slice, so no second copy of it is held
+    tables = [np.empty(len(rows) ** op.arity, dtype=np.int64) for op in factors[0].operations]
+    filled = [0] * len(tables)
     for i, pos, witness in _restricted_results(factors, rows):
         if witness is not None:
             return None, witness
-        tables[i] += pos.tolist()
-    ops = [(op.name, op.arity, t) for op, t in zip(factors[0].operations, tables)]
+        tables[i][filled[i] : filled[i] + len(pos)] = pos
+        filled[i] += len(pos)
+    ops = [(op.name, op.arity, _frozen(t)) for op, t in zip(factors[0].operations, tables)]
     return FiniteAlgebra(len(rows), ops), None
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    """`array`, made read-only, so that `Operation` keeps it without a copy."""
+    array.setflags(write=False)
+    return array
 
 
 def _pack(rows: np.ndarray, n: int) -> np.ndarray:
@@ -379,9 +403,9 @@ def _pack(rows: np.ndarray, n: int) -> np.ndarray:
 @functools.lru_cache(maxsize=64)
 def _salt(size: int) -> np.ndarray:
     """Fixed odd int64 salts, read-only, to hash rows by a wrapping dot product."""
-    salt = np.random.default_rng(0).integers(-(2**63), 2**63 - 1, size=size, dtype=np.int64) | 1
-    salt.flags.writeable = False
-    return salt
+    return _frozen(
+        np.random.default_rng(0).integers(-(2**63), 2**63 - 1, size=size, dtype=np.int64) | 1
+    )
 
 
 def _unpack(codes: np.ndarray, n: int, width: int) -> np.ndarray:
@@ -418,9 +442,7 @@ def _block_table(algebra: FiniteAlgebra, index: int, b: int) -> np.ndarray:
     # a block of b coordinates is a block of b - 1 followed by one more
     n, k = algebra.size, op.arity
     head = _block_table(algebra, index, b - 1).reshape((n ** (b - 1), 1) * k)
-    table = (head * n + op.array().reshape((1, n) * k)).ravel()
-    table.setflags(write=False)
-    return table
+    return _frozen((head * n + op.array().reshape((1, n) * k)).ravel())
 
 
 @_memoized
@@ -737,8 +759,8 @@ def quotient(algebra: FiniteAlgebra, theta, *, check: bool = True) -> Quotient:
     ops = []
     for op in algebra.operations:
         out = np.concatenate(list(_apply_combos(op.array(), n, [column] * op.arity, 1)))
-        ops.append((op.name, op.arity, labels[out.ravel()].tolist()))
-    q = Quotient(FiniteAlgebra(len(reps), ops), ElementMap(n, len(reps), labels.tolist()), reps)
+        ops.append((op.name, op.arity, _frozen(labels[out.ravel()])))
+    q = Quotient(FiniteAlgebra(len(reps), ops), ElementMap(n, len(reps), theta.index), reps)
     if check:
         failed = _unpreserved_operation(algebra, q.algebra, labels)
         if failed is not None:

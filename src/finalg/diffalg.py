@@ -207,15 +207,15 @@ def difference_algebra(
     )
 
     # induced weak difference term on D: d on the pair set, pushed through nu
-    d_alg = FiniteAlgebra(n, [("d", 3, certificate.d)])
+    d_alg = FiniteAlgebra(n, [certificate.operation])
     d_pair, witness = _materialize([d_alg, d_alg], pair.pairs)
     if witness is not None:
         raise InconsistencyError("ternary table does not preserve theta")
     try:
-        d_table = quotient(d_pair, delta.partition).algebra.operations[0].table
+        (d_op,) = quotient(d_pair, delta.partition).algebra.operations
     except ValueError:
         raise InconsistencyError("ternary table does not factor through the quotient") from None
-    certificate_d = verify_wdt(D, d_table, provenance="induced from base certificate")
+    certificate_d = verify_wdt(D, d_op.array(), provenance="induced from base certificate")
 
     return DifferenceAlgebra(
         base, theta, alpha, pair, delta, D, nu, phi, tuple(zero_of_block), zero_of_block,
@@ -251,7 +251,7 @@ class ClassEmbedding:
 def base_has_difference_identity(da: DifferenceAlgebra) -> bool:
     """Whether d(x, x, y) = y holds for all x, y of the base algebra."""
     n = da.base.size
-    d = da.certificate.d
+    d = da.certificate.operation.array()
     return all(d[(x * n + x) * n + y] == y for x in range(n) for y in range(n))
 
 
@@ -569,7 +569,7 @@ def verify_diffalg_theorems(da: DifferenceAlgebra) -> Report:
         skip("height-and-meet-irreducibility", "height-two",
              "height-2 and meet-irreducibility facts for minimal theta", "theta is not minimal")
 
-    d = da.certificate.d
+    d = da.certificate.operation.array().tolist()
     n = base.size
     witness = next(
         (
@@ -593,8 +593,10 @@ def verify_diffalg_theorems(da: DifferenceAlgebra) -> Report:
         skip("ranges-directed-union", "ranges-directed", statement,
              "the derived congruence check failed")
 
+    # the diagonal entry of x has index x (1 + n + .. + n^(k-1))
     idempotent = all(
-        op.table[_diag_index(x, op.arity, n)] == x for op in base.operations for x in range(n)
+        op.array()[x * sum(n**i for i in range(op.arity))] == x
+        for op in base.operations for x in range(n)
     )
     statement = "idempotent algebra with full centralizer: class sizes are 1 or q"
     if idempotent and da.theta_minimal and alpha == Partition.one(n):
@@ -659,13 +661,6 @@ def _transversal_witness(da: DifferenceAlgebra) -> tuple | None:
         if (da.nu(i) in tset) != (a == b):
             return ("preimage is not the diagonal", (a, b))
     return None
-
-
-def _diag_index(x: int, arity: int, n: int) -> int:
-    idx = 0
-    for _ in range(arity):
-        idx = idx * n + x
-    return idx
 
 
 def _maximal_chain_lengths(lat, interval, lo, hi):

@@ -32,6 +32,7 @@ from .core import (
     CapExceededError,
     FiniteAlgebra,
     ElementMap,
+    Operation,
     _apply_combos,
     closure_in_power,
     generate_subuniverse,
@@ -65,16 +66,20 @@ class WdtCertificate:
     """
 
     algebra: FiniteAlgebra
-    d: tuple[int, ...]
+    operation: Operation  # the ternary table, named "d"
     scope: tuple[int, ...]
     checked: tuple[tuple[str, Partition, Partition], ...]
     verdict: bool
     failure: tuple | None = None
     provenance: str = "table-attested"
 
+    @property
+    def d(self) -> tuple[int, ...]:
+        return self.operation.table
+
     def apply(self, x: int, y: int, z: int) -> int:
         n = self.algebra.size
-        return self.d[(x * n + y) * n + z]
+        return int(self.operation.array()[(x * n + y) * n + z])
 
 
 @core._memoized
@@ -159,41 +164,49 @@ def verify_wdt(
     checked, since an attested table need not be a term.
     """
     n = algebra.size
-    d = tuple(int(x) for x in d)
-    if len(d) != n**3:
-        raise ValueError(f"ternary table must have {n ** 3} entries, got {len(d)}")
-    for v in d:
-        if not 0 <= v < n:
-            raise ValueError(f"table entry {v} out of range")
+    (op,) = FiniteAlgebra(n, [("d", 3, d)]).operations
+    d = op.array()
     scope = tuple(sorted(set(int(k) for k in scope)))
     checked: list[tuple[str, Partition, Partition]] = []
 
-    for x in range(n):
-        if d[(x * n + x) * n + x] != x:
-            return WdtCertificate(
-                algebra, d, scope, tuple(checked), False, ("idempotence", x), provenance
-            )
+    bad = np.flatnonzero(d[np.arange(n) * (n * n + n + 1)] != np.arange(n))
+    if bad.size:
+        return WdtCertificate(
+            algebra, op, scope, tuple(checked), False, ("idempotence", int(bad[0])), provenance
+        )
 
     for k in scope:
         alg_k = algebra if k == 1 else power(algebra, k)
-        d_k = np.array(d) if k == 1 else power(FiniteAlgebra(n, [("d", 3, d)]), k).operations[0].array()
         label = f"A^{k}" if k > 1 else "A"
         commutators, cells, offset, target, labels, _ = _principal_conditions(alg_k)
         checked.extend((label, comm, psi) for comm, psi in commutators)
-        bad = np.flatnonzero((labels[offset[:, None] + d_k[cells]] != target[:, None]).any(axis=1))
+        values = _lifted(d, n, k, cells)
+        bad = np.flatnonzero((labels[offset[:, None] + values] != target[:, None]).any(axis=1))
         if bad.size:
             m, cell = alg_k.size, int(cells[bad[0], 0])
             comm, psi = commutators[offset[bad[0]] // m]
             return WdtCertificate(
                 algebra,
-                d,
+                op,
                 scope,
                 tuple(checked),
                 False,
                 ("congruence-condition", label, comm, psi, (cell // m**2, cell % m)),
                 provenance,
             )
-    return WdtCertificate(algebra, d, scope, tuple(checked), True, None, provenance)
+    return WdtCertificate(algebra, op, scope, tuple(checked), True, None, provenance)
+
+
+def _lifted(d: np.ndarray, n: int, k: int, cells: np.ndarray) -> np.ndarray:
+    """The entries at `cells` of the ternary table d lifted coordinatewise
+    to A^k, whose elements are the base-n numbers of their k coordinates as
+    `power` numbers them: d_k(x, y, z) = sum_i d(x_i, y_i, z_i) n^(k-1-i)."""
+    m = n**k
+    x, y, z = cells // (m * m), cells // m % m, cells % m
+    out = np.zeros_like(cells)
+    for place in n ** np.arange(k - 1, -1, -1):
+        out = out * n + d[(x // place % n * n + y // place % n) * n + z // place % n]
+    return out
 
 
 def certificate_from_operation(
@@ -203,7 +216,7 @@ def certificate_from_operation(
     op = algebra.operation(op_name)
     if op.arity != 3:
         raise ValueError(f"operation '{op_name}' is not ternary")
-    return verify_wdt(algebra, op.table, scope=scope, provenance=f"basic operation '{op_name}'")
+    return verify_wdt(algebra, op.array(), scope=scope, provenance=f"basic operation '{op_name}'")
 
 
 def _row_hashes(rows: np.ndarray, salt: np.ndarray) -> np.ndarray:
@@ -268,7 +281,7 @@ def search_wdt(
             ok = (labels[offset + rows[lo : lo + check_step, cells]] == target).all(axis=1)
             hit = np.flatnonzero(ok)
             if hit.size:
-                return verify_wdt(algebra, rows[lo + hit[0]].tolist(), provenance="term-derived")
+                return verify_wdt(algebra, rows[lo + hit[0]], provenance="term-derived")
         return None
 
     known = {row.tobytes() for row in projections}
@@ -412,9 +425,9 @@ def class_group(
     def build() -> ClassGroup:
         if not is_abelian(algebra, theta):
             raise ValueError("theta is not abelian")
-        return ClassGroup(algebra, theta, e, certificate.d)
+        return ClassGroup(algebra, theta, e, certificate.operation.array().tolist())
 
-    return core._memo(algebra, (ClassGroup, certificate.d, theta, e), build)
+    return core._memo(algebra, (ClassGroup, certificate.operation, theta, e), build)
 
 
 @dataclass(frozen=True)
@@ -649,8 +662,8 @@ def check_wdt_laws(
     witness = None
     polys = []
     for op in algebra.operations:
-        polys.append((op.arity, lambda args, t=op.array(), k=op.arity: int(t[_flat(args, n)])))
-    d = certificate.d
+        polys.append((op.arity, lambda args, t=op.array().reshape((n,) * op.arity): int(t[args])))
+    d = certificate.operation.array().tolist()
     for theta in abelians:
         for arity, fn in polys:
             cases = []
@@ -687,19 +700,24 @@ def check_wdt_laws(
     # a term-derived certificate is the deterministic clone search's own
     # first hit, so searching again could only find that same table
     own_hit = certificate.provenance == "term-derived"
-    other = None if own_hit else _searched_table(algebra)
-    if other is not None and other != certificate.d:
+    other = None
+    if not own_hit:
+        try:  # the first hit of a small clone search
+            found = search_wdt(algebra, cap=3000)
+            other = None if found is None else found.operation
+        except CapExceededError:
+            pass
+    if other is not None and other != certificate.operation:
+        compared = bool(abelians)
+        differ = certificate.operation.array() != other.array()
+        x, y, z = np.indices((n, n, n)).reshape(3, -1)
         for theta in abelians:
-            for blk in theta.blocks:
-                for x, y, z in itertools.product(blk, repeat=3):
-                    compared = True
-                    i = (x * n + y) * n + z
-                    if certificate.d[i] != other[i]:
-                        witness = (theta, (x, y, z))
-                        break
-                if witness:
-                    break
-            if witness:
+            label = np.array(theta.index)
+            hit = np.flatnonzero(differ & (label[x] == label[y]) & (label[y] == label[z]))
+            if hit.size:
+                # the first block, then the first triple of that block
+                i = hit[np.argmin(label[x[hit]])]
+                witness = (theta, (int(x[i]), int(y[i]), int(z[i])))
                 break
     if compared:
         note = ""
@@ -782,13 +800,6 @@ def check_wdt_laws(
     return Report("weak difference term laws", tuple(items))
 
 
-def _flat(args: Sequence[int], n: int) -> int:
-    idx = 0
-    for a in args:
-        idx = idx * n + a
-    return idx
-
-
 def _is_prime(p: int) -> bool:
     return p >= 2 and all(p % q for q in range(2, int(p**0.5) + 1))
 
@@ -797,13 +808,3 @@ def _is_prime_power(s: int, p: int) -> bool:
     while s % p == 0:
         s //= p
     return s == 1
-
-
-def _searched_table(algebra: FiniteAlgebra, *, cap: int = 3000) -> tuple | None:
-    """The weak-difference-term table of a small clone search (its first
-    hit), for the agreement law; None if the search finds none."""
-    try:
-        cert = search_wdt(algebra, cap=cap)
-    except CapExceededError:
-        return None
-    return None if cert is None else cert.d

@@ -68,18 +68,11 @@ def parse_algebra(text: str):
         try:
             name = str(entry["name"])
             arity = int(entry["arity"])
-            table = [int(x) for x in entry["table"]]
+            table = entry["table"]
         except (KeyError, TypeError, ValueError):
             raise DocumentError(f"operation #{i}: need name, arity, table") from None
         if arity < 0:
             raise DocumentError(f"operation '{name}': negative arity")
-        if len(table) != size**arity:
-            raise DocumentError(
-                f"operation '{name}': table length {len(table)} != {size}^{arity}"
-            )
-        for entry_val in table:
-            if not 0 <= entry_val < size:
-                raise DocumentError(f"operation '{name}': element {entry_val} out of range")
         ops.append((name, arity, table))
     try:
         algebra = FiniteAlgebra(size, ops)

@@ -295,22 +295,13 @@ def build_som(
                     if sort_of[f[x]] != t:
                         raise ValueError("connecting map leaves its target sort")
 
-    pos = {}
-    for elems in sort_elements:
-        for i, x in enumerate(elems):
-            pos[x] = i
-    table = [0] * size**3
-    for a in range(size):
-        for b in range(size):
-            for c in range(size):
-                t = meet[meet[sort_of[a]][sort_of[b]]][sort_of[c]]
-                xa = connecting[(sort_of[a], t)][a]
-                xb = connecting[(sort_of[b], t)][b]
-                xc = connecting[(sort_of[c], t)][c]
-                m = maltsev[t]
-                w = len(sort_elements[t])
-                local = m[(pos[xa] * w + pos[xb]) * w + pos[xc]]
-                table[(a * size + b) * size + c] = sort_elements[t][local]
+    pos = {x: i for elems in sort_elements for i, x in enumerate(elems)}
+    table = []
+    for a, b, c in itertools.product(range(size), repeat=3):
+        t = meet[meet[sort_of[a]][sort_of[b]]][sort_of[c]]
+        xa, xb, xc = (connecting[(sort_of[x], t)][x] for x in (a, b, c))
+        w = len(sort_elements[t])
+        table.append(sort_elements[t][maltsev[t][(pos[xa] * w + pos[xb]) * w + pos[xc]]])
 
     som = SemilatticeOverMaltsev(
         size,
@@ -627,12 +618,11 @@ def generate_example(config: GeneratorConfig) -> GeneratedAlgebra:
         ops.append((f"H{l}_{i}", 2, table))
 
     for l in range(1, m + 1):
-        table = []
-        for a in range(size):
-            acls = sorts[sort_of[a]][0]
-            for b in range(size):
-                bcls = sorts[sort_of[b]][0]
-                table.append(b if acls == l else zero_of_sort[(bcls, 0)])
+        table = [
+            b if sorts[sort_of[a]][0] == l else zero_of_sort[(sorts[sort_of[b]][0], 0)]
+            for a in range(size)
+            for b in range(size)
+        ]
         ops.append((f"K{l}", 2, table))
 
     algebra = FiniteAlgebra(size, ops)

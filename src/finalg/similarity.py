@@ -387,7 +387,7 @@ def freese_ring(
 
     labels = np.asarray(theta.index)
     base = np.asarray(base_points)
-    d = np.reshape(certificate.d, (n, n, n))
+    d = certificate.operation.array().reshape(n, n, n)
     # image[t, x]: t normalized on the class of x; C_j's generators use it on C_j
     translations, _ = _base_translations(algebra)
     te = translations[:, base[labels]]
@@ -398,8 +398,8 @@ def freese_ring(
     _, first = np.unique(keys, return_index=True)
     xs, ys, zs = np.indices((n, n, n))
     within = (labels[xs] == labels[ys]) & (labels[ys] == labels[zs])
-    ops = [("m", 3, np.where(within, d, xs).ravel().tolist())]
-    ops += [(f"r{k}", 1, row) for k, row in enumerate(rows[first].tolist())]
+    ops = [("m", 3, np.where(within, d, xs).ravel())]
+    ops += [(f"r{k}", 1, row) for k, row in enumerate(rows[first])]
     aux = FiniteAlgebra(n, ops)
 
     # hom-sets: restrictions of unary polynomials sending e_j to e_i
@@ -759,6 +759,14 @@ def bridge_construct(
     nonabelian monoliths the bridge is the graph of the isomorphism paired
     along the monolith.
     """
+
+    def verified(T: set, failure: str) -> Bridge:
+        report = bridge_verify(a, b, T)
+        if not report.passed:
+            raise InconsistencyError(f"{failure}: {report.failures}")
+        trace = tuple(sorted({(t[0], t[2]) for t in T}))
+        return Bridge(a, b, frozenset(T), trace, report)
+
     if mode == "canonical-to-d":
         if cert_a is None:
             raise ValueError("canonical-to-d needs the left certificate")
@@ -772,11 +780,7 @@ def bridge_construct(
         for blk in mu.blocks:
             for x, y, e in itertools.product(blk, repeat=3):
                 T.add((x, y, da.project(x, e), da.project(y, e)))
-        report = bridge_verify(a, b, T)
-        if not report.passed:
-            raise InconsistencyError(f"canonical bridge failed verification: {report.failures}")
-        trace = tuple(sorted({(t[0], t[2]) for t in T}))
-        return Bridge(a, b, frozenset(T), trace, report)
+        return verified(T, "canonical bridge failed verification")
 
     if mode == "from-iso":
         if cert_a is None or cert_b is None:
@@ -792,11 +796,7 @@ def bridge_construct(
             if h is None:
                 raise ValueError("not similar: no isomorphism exists")
             T = {(x, y, h(x), h(y)) for x, y in mu_a.pairs()}
-            report = bridge_verify(a, b, T)
-            if not report.passed:
-                raise InconsistencyError(f"bridge failed verification: {report.failures}")
-            trace = tuple(sorted({(t[0], t[2]) for t in T}))
-            return Bridge(a, b, frozenset(T), trace, report)
+            return verified(T, "bridge failed verification")
         da = difference_algebra(a, mu_a, cert_a)
         db = difference_algebra(b, mu_b, cert_b)
         lam0 = iso if iso is not None else find_isomorphism(da.algebra, db.algebra)
@@ -815,11 +815,7 @@ def bridge_construct(
             for u, v in mu_b.pairs():
                 if db.project(u, v) == target:
                     T.add((x, y, u, v))
-        report = bridge_verify(a, b, T)
-        if not report.passed:
-            raise InconsistencyError(f"bridge failed verification: {report.failures}")
-        trace = tuple(sorted({(t[0], t[2]) for t in T}))
-        return Bridge(a, b, frozenset(T), trace, report)
+        return verified(T, "bridge failed verification")
 
     raise ValueError(f"unknown bridge mode '{mode}'")
 
@@ -847,11 +843,11 @@ def _quotient_certificate(
     """Push the weak difference term through a quotient and re-verify it."""
     q = quotient(algebra, gamma, check=False)
     try:
-        d = quotient(FiniteAlgebra(algebra.size, [("d", 3, certificate.d)]), gamma)
+        d = quotient(FiniteAlgebra(algebra.size, [certificate.operation]), gamma)
     except ValueError:
         raise InconsistencyError("weak difference term does not factor through the quotient") from None
-    table = d.algebra.operations[0].table
-    cert = verify_wdt(q.algebra, table, provenance="pushed through quotient")
+    (d_op,) = d.algebra.operations
+    cert = verify_wdt(q.algebra, d_op.array(), provenance="pushed through quotient")
     if not cert.verdict:
         raise InconsistencyError("pushed table fails verification on the quotient")
     return q, cert

@@ -240,19 +240,36 @@ def _apply_combos(tab: np.ndarray, n: int, parts: list[np.ndarray], width: int) 
 
 
 def _apply_combos_generic(
-    tab: np.ndarray, n: int, parts: list[np.ndarray], width: int
+    tab: np.ndarray, n: int, parts: list[np.ndarray], width: int, *, budget: int = 0
 ) -> Iterable[np.ndarray]:
-    """Arity >= 4 fallback: iterate rows of the leading positions in Python."""
+    """Arity >= 4 fallback: iterate rows of the leading positions in Python
+    and broadcast over the trailing ones.  By default the last two positions
+    are broadcast, which fixes the chunks that a violation check sees; with
+    a cell `budget`, as many trailing positions as fit in it (at least two)."""
     if any(p.shape[0] == 0 for p in parts):
         return
-    head, tail = parts[:-2], parts[-2:]
+    split = len(parts) - 2
+    while split > 1 and width * int(np.prod([p.shape[0] for p in parts[split - 1 :]])) <= budget:
+        split -= 1
+    head, tail = parts[:split], parts[split:]
     for rows in itertools.product(*[range(p.shape[0]) for p in head]):
         idx = None
         for p, r in zip(head, rows):
             row = p[r]
             idx = row.copy() if idx is None else idx * n + row
-        grid = (idx[None, None, :] * n + tail[0][:, None, :]) * n + tail[1][None, :, :]
+        grid = idx.reshape((1,) * len(tail) + (width,))
+        for j, p in enumerate(tail):
+            grid = grid * n + p.reshape((1,) * j + (-1,) + (1,) * (len(tail) - 1 - j) + (width,))
         yield tab[grid.reshape(-1, width)]
+
+
+def _sorted_distinct(codes: np.ndarray) -> np.ndarray:
+    """`np.unique` of an int64 array by a sort and a mask, which is several
+    times faster than the hash-based `np.unique` of numpy 2.4 on int64."""
+    codes = np.sort(codes)
+    keep = np.ones(len(codes), dtype=bool)
+    keep[1:] = codes[1:] != codes[:-1]
+    return codes[keep]
 
 
 def _pack(rows: np.ndarray, n: int) -> np.ndarray:
@@ -315,6 +332,7 @@ def reference_closure(
         members = [tuple(int(x) for x in r) for r in _unpack(known_codes, n, width)]
         return members, witness
 
+    space = n**width
     while frontier.shape[0]:
         fresh_codes: list[np.ndarray] = []
         round_codes = known_codes
@@ -328,14 +346,23 @@ def reference_closure(
                             old_rows if i < pos else (frontier if i == pos else all_rows)
                             for i in range(k)
                         ]
-                        applier = _apply_combos if k <= 3 else _apply_combos_generic
-                        yield from applier(tab, n, parts, width)
+                        if k <= 3:
+                            yield from _apply_combos(tab, n, parts, width)
+                        else:
+                            # without a violation check the chunking cannot
+                            # change the result, so chunks fill the budget
+                            budget = 0 if violation is not None else _CHUNK_CELLS
+                            yield from _apply_combos_generic(tab, n, parts, width, budget=budget)
 
                 chunks = chunks_gen()
             for out in chunks:
+                # once every row is a member no chunk can add one or reach
+                # the violation check
+                if round_codes.size == space:
+                    break
                 if out.size == 0:
                     continue
-                codes = np.unique(_pack(out, n))
+                codes = _sorted_distinct(_pack(out, n))
                 mask = ~np.isin(codes, round_codes, assume_unique=False)
                 codes = codes[mask]
                 if codes.size == 0:
@@ -345,10 +372,10 @@ def reference_closure(
                     hit = violation(rows)
                     if hit is not None:
                         wit = tuple(int(x) for x in rows[hit])
-                        known_codes = np.unique(np.concatenate([round_codes, codes]))
+                        known_codes = _sorted_distinct(np.concatenate([round_codes, codes]))
                         return finish(wit)
                 fresh_codes.append(codes)
-                round_codes = np.unique(np.concatenate([round_codes, codes]))
+                round_codes = _sorted_distinct(np.concatenate([round_codes, codes]))
                 if round_codes.size > cap:
                     raise CapExceededError(cap_name, cap)
 

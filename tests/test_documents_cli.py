@@ -62,6 +62,19 @@ def test_parse_errors():
         parse_algebra(json.dumps(doc))
 
 
+@pytest.mark.parametrize("entry", [1.9, True, "2"], ids=["float", "bool", "string"])
+def test_non_integer_entries_are_rejected(tmp_path, entry):
+    """A float, a bool or a string entry is refused at the document
+    boundary, not truncated or read as an int; the CLI exits 2."""
+    doc = {"size": 3, "operations": [{"name": "f", "arity": 1, "table": [0, entry, 2]}]}
+    with pytest.raises(DocumentError, match="must be integers"):
+        parse_algebra(json.dumps(doc))
+    path = tmp_path / "bad.alg"
+    path.write_text(json.dumps(doc))
+    code, text = run_command(["con", "--in", str(path)])
+    assert code == 2 and "must be integers" in text, text
+
+
 def test_nullary_normalized_in_documents():
     doc = {"size": 3, "operations": [{"name": "c", "arity": 0, "table": [1]}]}
     alg, _, _ = parse_algebra(json.dumps(doc))

@@ -6,10 +6,11 @@ without the kernel or a closure."""
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from finalg import FiniteAlgebra, Partition, verify_wdt
+from finalg import FiniteAlgebra, Partition, power, verify_wdt
 from finalg import centrality, congruences, diffterm
 from finalg.centrality import centralizer, centralizes, two_term_condition
 
@@ -169,3 +170,47 @@ def test_zero_theta_size_mismatch_still_raises(z4):
         centralizes(z4, one, wrong, Partition.zero(4))
     with pytest.raises(ValueError):
         centralizer(z4, Partition.zero(4), wrong)
+
+
+def _idempotent_ternary(rng, n):
+    table = [rng.randrange(n) for _ in range(n**3)]
+    for x in range(n):
+        table[(x * n + x) * n + x] = x
+    return table
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_lifted_d_matches_the_power_lift(request, k):
+    """d lifted to A^k from the digits of the cells equals d's table in the
+    materialized power of the algebra (d), on every cell: gen1-gen3 at
+    k = 2, gen1 and gen3 at k = 3 (gen2's 512^3-cell cube is left out),
+    and random idempotent tables."""
+    rng = random.Random(k)
+    tables = [_idempotent_ternary(rng, n) for n in (1, 2, 3, 4) for _ in range(3)]
+    names = ("gen1", "gen2", "gen3") if k == 2 else ("gen1", "gen3")
+    tables += [request.getfixturevalue(name).algebra.operation("d").array() for name in names]
+    for d in tables:
+        n = round(len(d) ** (1 / 3))
+        algebra = FiniteAlgebra(n, [("d", 3, d)])
+        lift = power(algebra, k).operations[0].array()
+        got = diffterm._lifted(algebra.operations[0].array(), n, k, np.arange(len(lift)))
+        assert np.array_equal(got, lift)
+
+
+def test_lifted_d_on_the_cube_of_gen2(gen2):
+    """gen2 at k = 3, where the power lift would be a 512^3-cell table:
+    sampled cells against d applied to each coordinate."""
+    d = gen2.algebra.operation("d").table
+    n, k = gen2.algebra.size, 3
+    m = n**k
+    rng = random.Random(0)
+    cells = [rng.randrange(m**3) for _ in range(2000)]
+    got = diffterm._lifted(gen2.algebra.operation("d").array(), n, k, np.array(cells))
+
+    def coordinates(element):
+        return [element // n ** (k - 1 - i) % n for i in range(k)]
+
+    for cell, value in zip(cells, got.tolist()):
+        x, y, z = (coordinates(e) for e in (cell // (m * m), cell // m % m, cell % m))
+        image = [d[(a * n + b) * n + c] for a, b, c in zip(x, y, z)]
+        assert value == sum(v * n ** (k - 1 - i) for i, v in enumerate(image))
