@@ -4,9 +4,11 @@ Every command reads algebra documents, runs one pipeline stage, prints a
 deterministic report to stdout (and to --out when given), and exits with
 0 when every check passes or the computation succeeds, 1 on a verified
 negative (a failing law, "not similar", no term found), 2 on usage or
-input errors (and on an exceeded generation cap), and 3 on an internal
-error: a computed object that lacks a property the theory guarantees
-(`InconsistencyError`), reported on an `internal-error:` line.
+input errors (and on an exceeded generation cap), 3 on an internal error:
+a computed object that lacks a property the theory guarantees
+(`InconsistencyError`), reported on an `internal-error:` line, and 4 when
+the computation ran out of memory (`MemoryError`), reported on a
+`resource-error:` line.
 """
 
 from __future__ import annotations
@@ -188,6 +190,10 @@ def run_command(argv) -> tuple[int, str]:
     except InconsistencyError as exc:
         text = f"# finalg report\ncommand: {command_echo}\ninternal-error: {exc}\n"
         return 3, text
+    except MemoryError as exc:
+        detail = f": {exc}" if str(exc) else ""
+        text = f"# finalg report\ncommand: {command_echo}\nresource-error: out of memory{detail}\n"
+        return 4, text
 
     text = serialize_report(report, command=command_echo)
     outfile = getattr(args, "outfile", None)

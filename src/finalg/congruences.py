@@ -26,7 +26,8 @@ one gather for all pairs): by Mal'cev, Cg(a, b) is the equivalence closure
 of the pairs {a, b} reaches, so it is read off the strongly connected
 components in the sinks-first order of Tarjan's algorithm (R. Tarjan,
 Depth-first search and linear graph algorithms, SIAM J. Comput. 1, 1972).
-`principal_congruence` looks its answer up there.
+`principal_congruence` looks its answer up there, and the weak-difference-
+term law harness reads each pair's component from the same pass.
 
 Con(A) is the closure of 0 and the distinct principal congruences under
 joining with a principal congruence.  Its order matrix, join and meet tables
@@ -475,12 +476,16 @@ def _components_sinks_first(starts: list[int], succ: list[int]) -> tuple[list[in
 
 
 @core._memoized
-def _principal_congruences(algebra: FiniteAlgebra) -> tuple[list[Partition], list[Partition]]:
+def _principal_congruences(
+    algebra: FiniteAlgebra,
+) -> tuple[list[Partition], list[Partition], np.ndarray]:
     """Every principal congruence from one pass over the pair graph, as
-    (table, distinct): table[a * n + b] is Cg(a, b) (0 when a == b), and
-    `distinct` lists the distinct Cg(a, b) with a != b sorted by (rank,
-    blocks), each one object shared by its table entries.  Memoized on the
-    algebra.
+    (table, distinct, component): table[a * n + b] is Cg(a, b) (0 when
+    a == b), `distinct` lists the distinct Cg(a, b) with a != b sorted by
+    (rank, blocks), each one object shared by its table entries, and the
+    read-only int64 array component[a * n + b] numbers the strongly
+    connected component of the pair {a, b} (-1 when a == b).  Memoized on
+    the algebra.
 
     The graph has a node per unordered pair {a, b} of distinct elements and
     an edge {a, b} -> {t(a), t(b)} for every basic translation t with
@@ -545,7 +550,9 @@ def _principal_congruences(algebra: FiniteAlgebra) -> tuple[list[Partition], lis
     table = [zero] * (n * n)
     for v in range(m):
         table[a[v] * n + b[v]] = table[b[v] * n + a[v]] = distinct[label[comp[v]]]
-    return table, sorted(distinct, key=lambda p: (p.rank, p.blocks))
+    component = np.full(n * n, -1, dtype=np.int64)
+    component[node >= 0] = np.array(comp, dtype=np.int64)[node[node >= 0]]
+    return table, sorted(distinct, key=lambda p: (p.rank, p.blocks)), core._frozen(component)
 
 
 @dataclass(frozen=True)

@@ -306,7 +306,8 @@ def _apply_combos(tab: np.ndarray, n: int, parts: list[np.ndarray], width: int) 
     chunks in row-major grid order, for every arity.  Grids larger than the
     chunk budget are split along axis 0.  The one table gather: used by
     `_restricted_results` (and so `_materialize`), `quotient`,
-    `is_homomorphism` and the row-mode clone search in `diffterm`.
+    `is_homomorphism`, the subuniverse test `_closed_columns` and the
+    row-mode clone search in `diffterm`.
     """
     k = len(parts)
     sizes = [p.shape[0] for p in parts]
@@ -676,25 +677,74 @@ def closure_in_power(
 # ---------------------------------------------------------------------------
 
 
+def _constants(algebra: FiniteAlgebra) -> list[int]:
+    """The distinct constants of the algebra, sorted: the values of its unary
+    operations with a constant table, which is how construction keeps its
+    nullary operations."""
+    tables = [op.array() for op in algebra.operations if op.arity == 1]
+    return sorted({int(t[0]) for t in tables if (t == t[0]).all()})
+
+
+def _elements(algebra: FiniteAlgebra, subset: Iterable[int]) -> list[int]:
+    """The distinct elements of `subset`, sorted; ValueError on one outside
+    the universe."""
+    elements = sorted({int(x) for x in subset})
+    for a in elements:
+        if not 0 <= a < algebra.size:
+            raise ValueError(f"element {a} out of range")
+    return elements
+
+
 def generate_subuniverse(
     algebra: FiniteAlgebra, seed: Iterable[int], *, cap: int = DEFAULT_CLOSURE_CAP
 ) -> frozenset[int]:
-    """Least subset of the universe containing `seed` and closed under all ops."""
-    seed = sorted({int(x) for x in seed})
-    for a in seed:
-        if not 0 <= a < algebra.size:
-            raise ValueError(f"element {a} out of range")
+    """Least subset of the universe containing `seed` and closed under all
+    ops; from an empty seed, the subuniverse generated by the constants."""
+    seed = _elements(algebra, seed)
     if not seed:
-        return frozenset()
+        seed = _constants(algebra)
+        if not seed:
+            return frozenset()
     members, _ = closure_in_power(
         algebra, 1, [(a,) for a in seed], cap=cap, cap_name="subuniverse"
     )
     return frozenset(t[0] for t in members)
 
 
+def _closed_columns(algebra: FiniteAlgebra, columns: np.ndarray) -> np.ndarray:
+    """Whether each column of the (r, T) element array `columns`, r >= 1, is
+    closed under every operation, as a boolean array of length T.
+
+    Each operation of arity k is applied to the r^k argument tuples of every
+    column at once, by one `_apply_combos` gather over the columns as its
+    width, and its results are looked up in a (T, n) membership table.  The
+    gather takes as many columns at a time as keep r^(k-1) of them within
+    `_CHUNK_CELLS`, and slices the first argument within it.
+    """
+    n = algebra.size
+    r, t = columns.shape
+    member = np.zeros((t, n), dtype=bool)
+    member[np.arange(t), columns] = True
+    member = member.ravel()
+    closed = np.ones(t, dtype=bool)
+    for op in algebra.operations:
+        step = max(1, _CHUNK_CELLS // r ** (op.arity - 1))
+        for lo in range(0, t, step):
+            part = columns[:, lo : lo + step]
+            shift = np.arange(lo, lo + part.shape[1], dtype=np.int64) * n
+            for out in _apply_combos(op.array(), n, [part] * op.arity, part.shape[1]):
+                closed[lo : lo + step] &= member[out + shift].all(axis=0)
+    return closed
+
+
 def is_subuniverse(algebra: FiniteAlgebra, subset: Iterable[int]) -> bool:
-    sub = frozenset(int(x) for x in subset)
-    return generate_subuniverse(algebra, sub) == sub
+    """Whether `subset` is closed under every operation: one gather per
+    operation over its argument tuples, without closing it.  The empty set
+    is a subuniverse iff the algebra has no constants."""
+    sub = _elements(algebra, subset)
+    if not sub:
+        return not _constants(algebra)
+    return bool(_closed_columns(algebra, np.array(sub, dtype=np.int64)[:, None])[0])
 
 
 class DirectProduct:

@@ -19,8 +19,8 @@ from .core import (
     ElementMap,
     FiniteAlgebra,
     _materialize,
-    generate_subuniverse,
     is_homomorphism,
+    is_subuniverse,
     quotient,
 )
 from .congruences import (
@@ -655,7 +655,7 @@ def _transversal_witness(da: DifferenceAlgebra) -> tuple | None:
         return ("elements collide", da.transversal)
     if any(len(tset.intersection(blk)) != 1 for blk in da.phi.blocks):
         return ("not a transversal of phi", da.transversal)
-    if generate_subuniverse(da.algebra, tset) != tset:
+    if not is_subuniverse(da.algebra, tset):
         return ("not a subuniverse", da.transversal)
     for i, (a, b) in enumerate(da.pair.pairs):
         if (da.nu(i) in tset) != (a == b):

@@ -21,7 +21,6 @@ Con(A)^2.
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -37,6 +36,7 @@ from .core import (
     closure_in_power,
     generate_subuniverse,
     is_homomorphism,
+    is_subuniverse,
     power,
 )
 from .congruences import (
@@ -124,7 +124,7 @@ def _principal_conditions(algebra: FiniteAlgebra):
     congruences go finest first, and one that the commutators of the
     smaller ones already join to skips the fixpoint."""
     n = algebra.size
-    table, distinct = _principal_congruences(algebra)
+    table, distinct, _ = _principal_congruences(algebra)
     commutators = []
     for psi in distinct:
         lower = Partition.zero(n)
@@ -545,7 +545,7 @@ def transversal_automorphism(
     d1 = frozenset(d1)
     d2 = frozenset(d2)
     for name, dset in (("D1", d1), ("D2", d2)):
-        if generate_subuniverse(algebra, dset) != dset:
+        if not is_subuniverse(algebra, dset):
             raise ValueError(f"{name} is not a subuniverse")
         for blk in theta.blocks:
             if len(dset.intersection(blk)) != 1:
@@ -582,21 +582,114 @@ def _is_minimal_congruence(algebra: FiniteAlgebra, theta: Partition) -> bool:
     return True
 
 
+def _class_layout(theta: Partition) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(members, sizes, starts): the elements sorted block by block, and
+    block i as members[starts[i] : starts[i] + sizes[i]]."""
+    label = np.array(theta.index, dtype=np.int64)
+    sizes = np.bincount(label)
+    return np.argsort(label, kind="stable"), sizes, np.cumsum(sizes) - sizes
+
+
 def subuniverse_transversals(
     algebra: FiniteAlgebra, theta: Partition, *, cap: int = 4096
 ) -> list[frozenset[int]]:
-    """All transversals of theta that are subuniverses (combination scan)."""
+    """All transversals of theta that are subuniverses, in the order of
+    `itertools.product(*theta.blocks)`.  Every candidate is a column of one
+    array, and `core._closed_columns` tests them all together."""
     total = 1
     for blk in theta.blocks:
         total *= len(blk)
         if total > cap:
             raise CapExceededError("transversal scan", cap)
-    out = []
-    for combo in itertools.product(*theta.blocks):
-        cand = frozenset(combo)
-        if generate_subuniverse(algebra, cand) == cand:
-            out.append(cand)
-    return out
+    members, sizes, starts = _class_layout(theta)
+    # candidate t takes element t // stride % size of each block: the
+    # row-major order of the product
+    stride = total // np.cumprod(sizes)
+    picks = np.arange(total) // stride[:, None] % sizes[:, None]
+    columns = members[starts[:, None] + picks]
+    closed = core._closed_columns(algebra, columns)
+    return [frozenset(columns[:, t].tolist()) for t in np.flatnonzero(closed).tolist()]
+
+
+def _reflexive_is_congruence(algebra: FiniteAlgebra, a: int, b: int) -> bool:
+    """Whether rho(a, b), the reflexive subuniverse of A^2 generated by
+    (a, b), is symmetric and transitive: one closure, then R == R^T and
+    R R <= R on its n x n boolean matrix R."""
+    n = algebra.size
+    rho, _ = closure_in_power(
+        algebra, 2, [(x, x) for x in range(n)] + [(a, b)], cap_name="reflexive closure"
+    )
+    rows = np.array(rho, dtype=np.int64)
+    r = np.zeros((n, n), dtype=bool)
+    r[rows[:, 0], rows[:, 1]] = True
+    return bool((r == r.T).all() and not (np.matmul(r, r) & ~r).any())
+
+
+def _reflexive_witness(algebra: FiniteAlgebra, thetas: Sequence[Partition]):
+    """The first (theta, (a, b)), a != b, in the order of `thetas` and of
+    `theta.pairs()`, whose rho(a, b) is not a congruence; None when every
+    one is.
+
+    rho(a, b) is {(p(a), p(b))} over the unary polynomials p.  The pairs of
+    one strongly connected component of the pair graph of
+    `_principal_congruences` map onto each other by composites of basic
+    translations, so their rho are equal up to converse, which keeps
+    symmetry and transitivity.  One closure per component therefore
+    decides every pair of it, for every theta, and the first failing pair
+    of a theta is the first pair of its first failing component.
+    """
+    n = algebra.size
+    component = _principal_congruences(algebra)[2]
+    verdicts: dict[int, bool] = {}
+    for theta in thetas:
+        label = np.array(theta.index, dtype=np.int64)
+        a, b = np.nonzero((label[:, None] == label) & ~np.eye(n, dtype=bool))
+        # theta.pairs() order: block by block, then lexicographic
+        order = np.argsort(label[a], kind="stable")
+        a, b = a[order], b[order]
+        comps = component[a * n + b]
+        order = np.argsort(comps, kind="stable")
+        leads = order[np.r_[True, comps[order][1:] != comps[order][:-1]]]
+        for i in np.sort(leads).tolist():
+            c = int(comps[i])
+            if c not in verdicts:
+                verdicts[c] = _reflexive_is_congruence(algebra, int(a[i]), int(b[i]))
+            if not verdicts[c]:
+                return theta, (int(a[i]), int(b[i]))
+    return None
+
+
+def _commutation_witness(
+    algebra: FiniteAlgebra,
+    d: np.ndarray,
+    thetas: Sequence[Partition],
+    rng: np.random.Generator,
+    count: int,
+):
+    """The first sampled (theta, a, b, c) with d(f(a), f(b), f(c)) !=
+    f(d(a, b, c)) for a basic operation f, or None.
+
+    Per theta and operation of arity k, `count` cases are drawn in one
+    batch: for each of the k coordinates a block of theta uniformly, then
+    for each of a, b and c an element uniformly within that block.  Both
+    sides are one gather over the batch; the witness is the first failing
+    case in draw order, as tuples of ints.
+    """
+    n = algebra.size
+    for theta in thetas:
+        members, sizes, starts = _class_layout(theta)
+        for op in algebra.operations:
+            k, f = op.arity, op.array()
+            blocks = rng.integers(len(sizes), size=(count, k))
+            args = members[starts[blocks] + rng.integers(sizes[blocks], size=(3, count, k))]
+            place = n ** np.arange(k - 1, -1, -1)
+            fa, fb, fc = f[args @ place]
+            lhs = d[(fa * n + fb) * n + fc]
+            rhs = f[d[(args[0] * n + args[1]) * n + args[2]] @ place]
+            bad = np.flatnonzero(lhs != rhs)
+            if bad.size:
+                return (theta, *(tuple(x[bad[0]].tolist()) for x in args))
+    return None
 
 
 def check_wdt_laws(
@@ -609,9 +702,13 @@ def check_wdt_laws(
     """Consequences of having a weak difference term, checked executably:
 
     - reflexive-subuniverse: principal reflexive subuniverses of A^2 inside an
-      abelian congruence are congruences (symmetric and transitive);
+      abelian congruence are congruences (symmetric and transitive; Kearnes
+      and Szendrei, IJAC 8, 1998), decided by one closure per strongly
+      connected component of the pair graph (`_reflexive_witness`);
     - polynomial-commutation: d commutes with (sampled) polynomials on tuples
-      drawn from classes of an abelian congruence;
+      drawn from classes of an abelian congruence; `sample_size // (number
+      of operations)` cases per theta and operation, drawn in one batch from
+      numpy's `default_rng(seed)` (`_commutation_witness`);
     - term-agreement: distinct passing ternary tables agree on abelian classes;
     - transversal-maximality: a subuniverse transversal of an abelian minimal
       congruence is a maximal proper subuniverse;
@@ -620,35 +717,13 @@ def check_wdt_laws(
     """
     if not certificate.verdict:
         raise ValueError("need a valid certificate")
-    rng = random.Random(seed)
     n = algebra.size
     con = congruence_lattice(algebra).elements
     abelians = [t for t in con if t.rank > 0 and is_abelian(algebra, t)]
     minimal_abelians = [t for t in abelians if _is_minimal_congruence(algebra, t)]
     items = []
 
-    witness = None
-    for theta in abelians:
-        diag = [(x, x) for x in range(n)]
-        for a, b in theta.pairs():
-            if a == b:
-                continue
-            rho, _ = closure_in_power(algebra, 2, diag + [(a, b)], cap_name="reflexive closure")
-            rho_set = set(rho)
-            ok = all((v, u) in rho_set for u, v in rho_set)
-            if ok:
-                for u, v in rho_set:
-                    for v2, w in rho_set:
-                        if v2 == v and (u, w) not in rho_set:
-                            ok = False
-                            break
-                    if not ok:
-                        break
-            if not ok:
-                witness = (theta, (a, b))
-                break
-        if witness:
-            break
+    witness = _reflexive_witness(algebra, abelians)
     items.append(
         CheckItem(
             id="reflexive-subuniverse",
@@ -659,32 +734,9 @@ def check_wdt_laws(
         )
     )
 
-    witness = None
-    polys = []
-    for op in algebra.operations:
-        polys.append((op.arity, lambda args, t=op.array().reshape((n,) * op.arity): int(t[args])))
-    d = certificate.operation.array().tolist()
-    for theta in abelians:
-        for arity, fn in polys:
-            cases = []
-            for _ in range(sample_size // max(1, len(polys))):
-                blocks = [rng.choice(theta.blocks) for _ in range(arity)]
-                triple = [
-                    tuple(rng.choice(blk) for blk in blocks),
-                    tuple(rng.choice(blk) for blk in blocks),
-                    tuple(rng.choice(blk) for blk in blocks),
-                ]
-                cases.append(triple)
-            for aa, bb, cc in cases:
-                lhs = d[(fn(aa) * n + fn(bb)) * n + fn(cc)]
-                rhs = fn(tuple(d[(aa[i] * n + bb[i]) * n + cc[i]] for i in range(arity)))
-                if lhs != rhs:
-                    witness = (theta, aa, bb, cc)
-                    break
-            if witness:
-                break
-        if witness:
-            break
+    count = sample_size // max(1, len(algebra.operations))
+    rng = np.random.default_rng(seed)
+    witness = _commutation_witness(algebra, certificate.operation.array(), abelians, rng, count)
     items.append(
         CheckItem(
             id="polynomial-commutation",

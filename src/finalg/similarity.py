@@ -29,8 +29,8 @@ from .core import (
     _restricted_results,
     closure_in_power,
     find_isomorphism,
-    generate_subuniverse,
     is_homomorphism,
+    is_subuniverse,
     quotient,
 )
 from .congruences import (
@@ -143,7 +143,7 @@ def division_ring(
     for blk in phi.blocks:
         if len(tset.intersection(blk)) != 1:
             raise ValueError("T is not a transversal for phi")
-    if generate_subuniverse(algebra, tset) != tset:
+    if not is_subuniverse(algebra, tset):
         raise ValueError("T is not a subuniverse")
 
     n = algebra.size

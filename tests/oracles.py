@@ -22,6 +22,10 @@ homomorphism search.  `brute_hom_sets` filters `brute_pol1` down to the
 Freese ring's restrictions between classes.  `reference_abelian_quotient_pairs`
 and `reference_wdt_verdict` are the sweep of Con(A)^2 that checked weak
 difference terms before the check read them at principal congruences.
+`reference_reflexive_witness` and `reference_subuniverse_transversals` are
+the per-pair closure loop and the per-candidate scan of the weak-difference-
+term law harness before it closed once per pair-graph component and tested
+every candidate transversal in one gather, on `reference_closure`.
 """
 
 from __future__ import annotations
@@ -839,3 +843,40 @@ def reference_wdt_verdict(algebra: FiniteAlgebra, d: Sequence[int], scope=(1,)) 
                 if not (delta.related(d_k[(a * m + a) * m + b], b) and delta.related(d_k[(b * m + a) * m + a], b)):
                     return False
     return True
+
+
+def reference_reflexive_witness(algebra: FiniteAlgebra, thetas) -> tuple | None:
+    """The first (theta, (a, b)), a != b, in the order of `thetas` and of
+    `theta.pairs()`, whose reflexive subuniverse of A^2 generated by (a, b)
+    is not symmetric and transitive: one closure per pair, tested member by
+    member.  The verdict of a pair is kept across thetas, as it does not
+    depend on them."""
+    n = algebra.size
+    diag = [(x, x) for x in range(n)]
+    verdicts: dict[tuple[int, int], bool] = {}
+    for theta in thetas:
+        for a, b in theta.pairs():
+            if a == b:
+                continue
+            if (a, b) not in verdicts:
+                rho, _ = reference_closure(algebra, 2, diag + [(a, b)])
+                rho_set = set(rho)
+                symmetric = all((v, u) in rho_set for u, v in rho_set)
+                transitive = all(
+                    (u, w) in rho_set for u, v in rho_set for v2, w in rho_set if v2 == v
+                )
+                verdicts[a, b] = symmetric and transitive
+            if not verdicts[a, b]:
+                return theta, (a, b)
+    return None
+
+
+def reference_subuniverse_transversals(algebra: FiniteAlgebra, theta: Partition) -> list[frozenset]:
+    """Every transversal of theta, in the order of
+    `itertools.product(*theta.blocks)`, that its closure leaves unchanged."""
+    out = []
+    for combo in itertools.product(*theta.blocks):
+        members, _ = reference_closure(algebra, 1, [(x,) for x in combo])
+        if {x for (x,) in members} == set(combo):
+            out.append(frozenset(combo))
+    return out

@@ -256,6 +256,27 @@ def test_cli_internal_error_exit_code(tmp_path, z4, monkeypatch):
     assert text.splitlines()[-1] == "internal-error: centralizer sweep produced a non-centralizing join"
 
 
+def test_cli_memory_error_exit_code(tmp_path, z4, monkeypatch):
+    """A MemoryError from a stage is a resource error: exit 4, with a
+    `resource-error:` line, not the exit 1 of a verified negative."""
+
+    z4_path = tmp_path / "z4.alg"
+    z4_path.write_text(serialize_algebra(z4))
+    argv = ["centralizer", "--in", str(z4_path), "--delta", "zero", "--theta", "full"]
+    for message, last in [
+        ("Unable to allocate 1.44 GiB", "resource-error: out of memory: Unable to allocate 1.44 GiB"),
+        ("", "resource-error: out of memory"),
+    ]:
+
+        def exhausted(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, "centralizer", exhausted)
+        code, text = run_command(argv)
+        assert code == 4
+        assert text.splitlines()[-1] == last
+
+
 def test_cli_parser_is_reused_across_commands(tmp_path, z4, s2, z4_theta):
     """One process, one parser: a sequence of different subcommands, parse
     errors and optional arguments given then omitted gives the texts and
