@@ -704,35 +704,24 @@ def join(p: Partition, q: Partition) -> Partition:
 @dataclass(frozen=True)
 class StructureReport:
     covers: tuple[CoverPair, ...]
-    meet_irreducibles: tuple[Partition, ...]
     completely_meet_irreducibles: tuple[tuple[Partition, Partition], ...]
     monolith: Partition | None
     is_si: bool
 
 
 def structure_report(lattice: CongruenceLattice) -> StructureReport:
-    """Covers, (completely) meet-irreducible elements, monolith, SI verdict.
+    """Covers, completely meet-irreducible elements, monolith, SI verdict.
 
     In a finite lattice an element is completely meet-irreducible iff it has a
-    unique upper cover below everything strictly above it, and the two notions
-    coincide.  Both are computed independently here (one from the meet table,
-    one from the covers), and the tests check that they agree.
+    unique upper cover below everything strictly above it; in a finite
+    lattice this is the same as meet-irreducible, which the tests check
+    against the meet table of an independent lattice.
     """
     elements = lattice.elements
     m = len(elements)
     covers = tuple(
         CoverPair(elements[i], elements[j]) for (i, j) in sorted(lattice.covers)
     )
-    meet_irr = []
-    for i in range(m):
-        if elements[i] == lattice.one:
-            continue
-        strictly_above = [j for j in range(m) if j != i and lattice.leq_matrix[i][j]]
-        reducible = any(
-            lattice.meet_table[j][k] == i for j in strictly_above for k in strictly_above
-        )
-        if not reducible:
-            meet_irr.append(elements[i])
     cmi = []
     for i in range(m):
         if elements[i] == lattice.one:
@@ -751,7 +740,6 @@ def structure_report(lattice: CongruenceLattice) -> StructureReport:
     monolith = atoms[0] if len(atoms) == 1 else None
     return StructureReport(
         covers=covers,
-        meet_irreducibles=tuple(meet_irr),
         completely_meet_irreducibles=tuple(cmi),
         monolith=monolith,
         is_si=monolith is not None,

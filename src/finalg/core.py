@@ -9,8 +9,9 @@ algebras are materialized back into the same form by one row-major grid
 gather, `_apply_combos`: `_materialize` builds every subalgebra of a product
 on its row indices (products, powers, pair algebras, traces) from the
 results that `_restricted_results` places, which also checks a relation for
-closure without building it; `quotient` gathers over block representatives,
-and `is_homomorphism` checks a map with the same gather.
+closure without building it; `_row_quotient` gathers at one row per block
+of a partition of such a subset (`quotient` is its width-1 case, the
+difference algebra its pair case), and `is_homomorphism` checks a map.
 
 Operation tables, element maps and the other values here are immutable after
 construction.  Each `FiniteAlgebra` also carries a private memo, `_cache`, of
@@ -28,6 +29,7 @@ from __future__ import annotations
 import functools
 import inspect
 import itertools
+import math
 import zlib
 from typing import Callable, Iterable, Sequence
 
@@ -166,7 +168,7 @@ class FiniteAlgebra:
                 raise ValueError(
                     f"operation '{op.name}': table length {len(table)} != {size}^{op.arity}"
                 )
-            if table.min() < 0 or table.max() >= size:
+            if table.view(np.uint64).max() >= size:  # a negative entry wraps above any size
                 entry = table[(table < 0) | (table >= size)][0]
                 raise ValueError(f"operation '{op.name}': entry {entry} out of range")
             if op.arity == 0:
@@ -305,7 +307,7 @@ def _apply_combos(tab: np.ndarray, n: int, parts: list[np.ndarray], width: int) 
     Each part is an (m_i, width) array; results are yielded as (m, width)
     chunks in row-major grid order, for every arity.  Grids larger than the
     chunk budget are split along axis 0.  The one table gather: used by
-    `_restricted_results` (and so `_materialize`), `quotient`,
+    `_restricted_results` (and so `_materialize` and `_row_quotient`),
     `is_homomorphism`, the subuniverse test `_closed_columns` and the
     row-mode clone search in `diffterm`.
     """
@@ -324,9 +326,9 @@ def _apply_combos(tab: np.ndarray, n: int, parts: list[np.ndarray], width: int) 
         yield tab[idx.reshape(-1, width)]
 
 
-def _restricted_results(factors: Sequence[FiniteAlgebra], rows):
-    """The results of every operation over the row-major grid of `rows`, as
-    row indices, one slice at a time.
+def _restricted_results(factors: Sequence[FiniteAlgebra], rows, at=None):
+    """The results of every operation over the row-major grid of `rows` (or
+    of the rows at the indices `at`), as row indices, one slice at a time.
 
     `rows` are the sorted, distinct rows of a subset S of A_1 x .. x A_w,
     where the factors share one signature.  Yields (operation index, row
@@ -335,32 +337,43 @@ def _restricted_results(factors: Sequence[FiniteAlgebra], rows):
     yields (operation index, None, (op name, argument rows, result row)) and
     stops.  A slice fixes a range of the first argument within the chunk
     budget; each distinct factor gathers it once on its own columns, and
-    the results are placed by `searchsorted` on mixed-radix row codes.
+    the results are placed by `searchsorted` on mixed-radix row codes, or
+    read as indices when S is the whole product.
     """
     sizes = [f.size for f in factors]
     rows = np.asarray(rows, dtype=np.int64).reshape(-1, len(factors))
-    place = np.cumprod((sizes[1:] + [1])[::-1], dtype=np.int64)[::-1]
+    place = np.array([math.prod(sizes[j + 1 :]) for j in range(len(sizes))], dtype=np.int64)
     codes = rows @ place
+    full = len(codes) == math.prod(sizes)
     columns: dict[FiniteAlgebra, list[int]] = {}
     for j, factor in enumerate(factors):
         columns.setdefault(factor, []).append(j)
-    m = rows.shape[0]
+    grid = rows if at is None else rows.take(at, axis=0)
+    m = grid.shape[0]
     for i, op in enumerate(factors[0].operations):
         k = op.arity
         step = max(1, _CHUNK_CELLS // max(1, m ** (k - 1) * len(factors)))
         for lo in range(0, m, step):
-            code = 0
+            code = None
             for factor, cols in columns.items():
-                parts = [rows[lo : lo + step, cols]] + [rows[:, cols]] * (k - 1)
-                gather = _apply_combos(factor.operations[i].array(), factor.size, parts, len(cols))
-                code = code + np.concatenate(list(gather)) @ place[cols]
+                parts = [grid[lo : lo + step]] + [grid] * (k - 1)
+                if len(columns) > 1:
+                    parts = [p[:, cols] for p in parts]
+                out = list(_apply_combos(factor.operations[i].array(), factor.size, parts, len(cols)))
+                out = out[0] if len(out) == 1 else np.concatenate(out)
+                # a single coordinate is its own code
+                term = out.ravel() if len(sizes) == 1 else out @ place[cols]
+                code = term if code is None else code + term
+            if full:
+                yield i, code, None
+                continue
             pos = np.searchsorted(codes, code)
             miss = codes.take(pos, mode="clip") != code
             if miss.any():
-                at = int(np.argmax(miss))
-                args = np.unravel_index(lo * m ** (k - 1) + at, (m,) * k)
-                result = tuple(int(code[at]) // p % s for p, s in zip(place.tolist(), sizes))
-                yield i, None, (op.name, tuple(tuple(rows[r].tolist()) for r in args), result)
+                hit = int(np.argmax(miss))
+                args = np.unravel_index(lo * m ** (k - 1) + hit, (m,) * k)
+                result = tuple(int(code[hit]) // p % s for p, s in zip(place.tolist(), sizes))
+                yield i, None, (op.name, tuple(tuple(grid[r].tolist()) for r in args), result)
                 return
             yield i, pos, None
 
@@ -792,29 +805,48 @@ class Quotient:
         self.block_representatives = reps
 
 
-def quotient(algebra: FiniteAlgebra, theta, *, check: bool = True) -> Quotient:
-    """Quotient algebra modulo a congruence `theta` (a Partition).
-
-    The tables are one gather over the block representatives, followed by
-    the block labels.  With check=True the projection is verified to be a
-    homomorphism, i.e. the partition is compatible with every operation
-    table; an incompatible partition raises ValueError.
-    """
-    n = algebra.size
-    if theta.size != n:
+def _row_quotient(factors: Sequence[FiniteAlgebra], rows, theta, *, check: bool):
+    """The subset S of A_1 x .. x A_w given by its sorted, distinct rows,
+    modulo a partition `theta` of the row indices: the results at the least
+    row of each block, read as labels, so no table of S is built.  check=True
+    streams every result and compares labels.  Returns (quotient, None), or
+    (None, (op name, left)) for the first operation whose results leave S
+    (left True; these come first) or do not factor through theta."""
+    m = len(rows)
+    if theta.size != m:
         raise ValueError("partition size mismatch")
     labels = np.asarray(theta.index, dtype=np.int64)
     reps = tuple(blk[0] for blk in theta.blocks)
-    column = np.array(reps, dtype=np.int64)[:, None]
-    ops = []
-    for op in algebra.operations:
-        out = np.concatenate(list(_apply_combos(op.array(), n, [column] * op.arity, 1)))
-        ops.append((op.name, op.arity, _frozen(labels[out.ravel()])))
-    q = Quotient(FiniteAlgebra(len(reps), ops), ElementMap(n, len(reps), theta.index), reps)
-    if check:
-        failed = _unpreserved_operation(algebra, q.algebra, labels)
-        if failed is not None:
-            raise ValueError(f"partition is not a congruence (operation '{failed}')")
+    ops = [(op.name, op.arity, []) for op in factors[0].operations]
+    for i, pos, witness in _restricted_results(factors, rows, reps):
+        if witness is not None:
+            return None, (witness[0], True)
+        ops[i][2].append(labels[pos])
+    ops = [(name, k, _frozen(t[0] if len(t) == 1 else np.concatenate(t))) for name, k, t in ops]
+    q = Quotient(FiniteAlgebra(len(reps), ops), ElementMap(m, len(reps), theta.index), reps)
+    failed = None
+    done = [0] * len(ops)
+    for i, pos, witness in _restricted_results(factors, rows) if check else ():
+        if witness is not None:
+            return None, (witness[0], True)
+        op = q.algebra.operations[i]
+        # a slice holds the grid rows of a range of first arguments
+        per = m ** (op.arity - 1)
+        first = labels[done[i] // per : (done[i] + len(pos)) // per, None]
+        expected = _apply_combos(op.array(), len(reps), [first] + [labels[:, None]] * (op.arity - 1), 1)
+        if failed is None and not np.array_equal(labels[pos], np.concatenate(list(expected)).ravel()):
+            failed = op.name
+        done[i] += len(pos)
+    return (q, None) if failed is None else (None, (failed, False))
+
+
+def quotient(algebra: FiniteAlgebra, theta, *, check: bool = True) -> Quotient:
+    """Quotient algebra modulo a congruence `theta` (a Partition), by
+    `_row_quotient`; with check=True a partition that is not compatible
+    with every operation raises ValueError naming the first one."""
+    q, failure = _row_quotient([algebra], np.arange(algebra.size)[:, None], theta, check=check)
+    if failure is not None:
+        raise ValueError(f"partition is not a congruence (operation '{failure[0]}')")
     return q
 
 
@@ -965,25 +997,20 @@ def find_isomorphism(a: FiniteAlgebra, b: FiniteAlgebra) -> ElementMap | None:
     return None if images is None else ElementMap(a.size, b.size, images)
 
 
-def _unpreserved_operation(a: FiniteAlgebra, b: FiniteAlgebra, images: np.ndarray) -> str | None:
-    """Name of the first operation that the map `images` from a to b does
-    not preserve, or None: op_b over the grid of images, gathered once per
-    operation, against the images of op_a's table."""
-    column = images[:, None]
-    for op_a, op_b in zip(a.operations, b.operations):
-        lhs = images[op_a.array()]
-        lo = 0
-        for chunk in _apply_combos(op_b.array(), b.size, [column] * op_a.arity, 1):
-            if not np.array_equal(chunk.ravel(), lhs[lo : lo + chunk.shape[0]]):
-                return op_a.name
-            lo += chunk.shape[0]
-    return None
-
-
 def is_homomorphism(a: FiniteAlgebra, b: FiniteAlgebra, h: ElementMap) -> bool:
-    """Exhaustively check h(op(x..)) == op(h(x)..) for all ops and tuples."""
+    """Exhaustively check h(op(x..)) == op(h(x)..) for all ops and tuples:
+    op_b over the grid of images, gathered once per operation, against the
+    images of op_a's table."""
     if not a.same_signature(b):
         return False
     if h.source_size != a.size or h.target_size != b.size:
         raise ValueError("map sizes do not match the algebras")
-    return _unpreserved_operation(a, b, np.asarray(h.images, dtype=np.int64)) is None
+    images = np.asarray(h.images, dtype=np.int64)
+    for op_a, op_b in zip(a.operations, b.operations):
+        lhs = images[op_a.array()]
+        lo = 0
+        for chunk in _apply_combos(op_b.array(), b.size, [images[:, None]] * op_a.arity, 1):
+            if not np.array_equal(chunk.ravel(), lhs[lo : lo + chunk.shape[0]]):
+                return False
+            lo += chunk.shape[0]
+    return True

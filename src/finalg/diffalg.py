@@ -19,14 +19,18 @@ from .core import (
     ElementMap,
     FiniteAlgebra,
     _materialize,
+    _memo,
+    _row_quotient,
     is_homomorphism,
     is_subuniverse,
     quotient,
 )
 from .congruences import (
     Partition,
+    _pair_translations,
     check_interval_modular_permuting,
     congruence_lattice,
+    is_congruence,
     push_partition,
     structure_report,
 )
@@ -43,25 +47,27 @@ from .report import CheckItem, Report
 
 
 class PairAlgebra:
-    """theta viewed as an algebra on its pair set (lexicographic order)."""
+    """theta viewed as an algebra on its pair set (lexicographic order), read
+    from `_pair_translations` (ValueError when theta is not a congruence);
+    the tables, `.algebra`, are built on first access, memoized on the base."""
 
-    __slots__ = ("base", "theta", "pairs", "pos", "algebra", "pr1", "pr2", "eta1", "eta2")
+    __slots__ = ("base", "theta", "pairs", "pos", "pr1", "pr2", "eta1", "eta2")
 
     def __init__(self, base: FiniteAlgebra, theta: Partition):
         self.base = base
         self.theta = theta
-        self.pairs = tuple(sorted((a, b) for blk in theta.blocks for a in blk for b in blk))
+        pairs, _, p0, p1, *_ = _pair_translations(base, theta)
+        self.pairs = tuple(pairs)
         self.pos = {p: i for i, p in enumerate(self.pairs)}
-        self.algebra, witness = _materialize([base, base], self.pairs)
-        if witness is not None:
-            raise InconsistencyError("pair set not closed; theta is not a congruence")
         m, n = len(self.pairs), base.size
-        p0 = [a for a, _ in self.pairs]
-        p1 = [b for _, b in self.pairs]
         self.pr1 = ElementMap(m, n, p0)
         self.pr2 = ElementMap(m, n, p1)
-        self.eta1 = Partition.from_labels(m, p0)
-        self.eta2 = Partition.from_labels(m, p1)
+        self.eta1 = Partition.from_labels(m, self.pr1.images)
+        self.eta2 = Partition.from_labels(m, self.pr2.images)
+
+    @property
+    def algebra(self) -> FiniteAlgebra:
+        return _memo(self.base, (PairAlgebra, self.theta), lambda: _materialize([self.base] * 2, self.pairs)[0])
 
     def lift(self, alpha: Partition) -> Partition:
         """alpha-bar: pairs related iff their first coordinates are; for
@@ -122,44 +128,26 @@ def delta_congruence(pair: PairAlgebra, phi: Partition) -> DeltaCongruence:
     return DeltaCongruence(pair, phi, partition)
 
 
+@dataclass(eq=False, slots=True)
 class DifferenceAlgebra:
     """D(A, theta) = pair algebra / diagonal congruence for alpha = (0:theta),
     together with the derived congruence, canonical transversal, and the
     induced weak difference term."""
 
-    __slots__ = (
-        "base",
-        "theta",
-        "alpha",
-        "pair",
-        "delta",
-        "algebra",
-        "nu",
-        "phi",
-        "transversal",
-        "zero_of_block",
-        "class_iso",
-        "certificate",
-        "certificate_d",
-        "theta_minimal",
-    )
-
-    def __init__(self, base, theta, alpha, pair, delta, algebra, nu, phi, transversal,
-                 zero_of_block, class_iso, certificate, certificate_d, theta_minimal):
-        self.base = base
-        self.theta = theta
-        self.alpha = alpha
-        self.pair = pair
-        self.delta = delta
-        self.algebra = algebra
-        self.nu = nu
-        self.phi = phi
-        self.transversal = transversal
-        self.zero_of_block = zero_of_block
-        self.class_iso = class_iso
-        self.certificate = certificate
-        self.certificate_d = certificate_d
-        self.theta_minimal = theta_minimal
+    base: FiniteAlgebra
+    theta: Partition
+    alpha: Partition
+    pair: PairAlgebra
+    delta: DeltaCongruence
+    algebra: FiniteAlgebra
+    nu: ElementMap
+    phi: Partition
+    transversal: tuple[int, ...]
+    zero_of_block: list[int]
+    class_iso: ElementMap
+    certificate: WdtCertificate
+    certificate_d: WdtCertificate
+    theta_minimal: bool
 
     def project(self, a: int, b: int) -> int:
         """nu((a, b)): the image of a theta-pair in the difference algebra."""
@@ -183,13 +171,17 @@ def difference_algebra(
     diagonal), the class map A/alpha -> D/phi and the induced weak difference
     term with its verified certificate.
 
+    D and the induced d are quotients of the pair set by Delta, gathered at
+    one pair per Delta-class, so no table on the pair set is built; only d's
+    quotient is checked, as the kernel builds Delta as a congruence.
+
     The guards kept here are those without which D is not defined: a
     `ValueError` when the certificate is not a valid one for `base` or theta
     is not abelian, and an `InconsistencyError` when d does not preserve
     theta or does not factor through Delta.  The structure theorems (the
-    matrix facts, the derived congruence, the transversal, A/alpha isomorphic
-    to D/phi and subdirect irreducibility) are checks of
-    `verify_diffalg_theorems`."""
+    matrix facts, Delta a congruence, the derived congruence, the
+    transversal, A/alpha isomorphic to D/phi and subdirect irreducibility)
+    are checks of `verify_diffalg_theorems`."""
     if not certificate.verdict or certificate.algebra != base:
         raise ValueError("need a valid weak-difference-term certificate for the base algebra")
     if not is_abelian(base, theta):
@@ -198,7 +190,7 @@ def difference_algebra(
     alpha = centralizer(base, Partition.zero(n), theta)
     pair = pair_algebra(base, theta)
     delta = delta_congruence(pair, alpha)
-    q = quotient(pair.algebra, delta.partition, check=True)
+    q, _ = _row_quotient([base, base], pair.pairs, delta.partition, check=False)
     D, nu = q.algebra, q.projection
     phi = push_partition(pair.lift(alpha), nu, D.size)
     zero_of_block = [nu(pair.diagonal_index(blk[0])) for blk in alpha.blocks]
@@ -208,13 +200,11 @@ def difference_algebra(
 
     # induced weak difference term on D: d on the pair set, pushed through nu
     d_alg = FiniteAlgebra(n, [certificate.operation])
-    d_pair, witness = _materialize([d_alg, d_alg], pair.pairs)
-    if witness is not None:
-        raise InconsistencyError("ternary table does not preserve theta")
-    try:
-        (d_op,) = quotient(d_pair, delta.partition).algebra.operations
-    except ValueError:
-        raise InconsistencyError("ternary table does not factor through the quotient") from None
+    qd, failure = _row_quotient([d_alg, d_alg], pair.pairs, delta.partition, check=True)
+    if failure is not None:
+        what = "preserve theta" if failure[1] else "factor through the quotient"
+        raise InconsistencyError(f"ternary table does not {what}")
+    (d_op,) = qd.algebra.operations
     certificate_d = verify_wdt(D, d_op.array(), provenance="induced from base certificate")
 
     return DifferenceAlgebra(
@@ -334,19 +324,17 @@ class BasicTranslation:
         return tuple(certificate.apply(self.e, self.e2, x) for x in range(n))
 
 
+@dataclass(eq=False, slots=True)
 class ArrowGraph:
     """Reachability of theta-classes within one alpha-class under positive
     translations, with witness chains of basic translations."""
 
-    __slots__ = ("da", "alpha_class", "nodes", "basic_edges", "reach", "chains")
-
-    def __init__(self, da, alpha_class, nodes, basic_edges, reach, chains):
-        self.da = da
-        self.alpha_class = alpha_class
-        self.nodes = nodes
-        self.basic_edges = basic_edges
-        self.reach = reach
-        self.chains = chains
+    da: DifferenceAlgebra
+    alpha_class: tuple[int, ...]
+    nodes: tuple
+    basic_edges: dict
+    reach: dict
+    chains: dict
 
     def arrow(self, c1, c2) -> bool:
         return tuple(c2) in self.reach[tuple(c1)]
@@ -526,7 +514,8 @@ def verify_diffalg_theorems(da: DifferenceAlgebra) -> Report:
         skip("subdirectly-irreducible", "si", statement, "theta is not minimal")
 
     ok = delta != alpha_bar and delta.leq(alpha_bar)
-    cent = centralizer(P, delta, alpha_bar)
+    # D is a quotient by delta only when delta is a congruence of P
+    cent = centralizer(P, delta, alpha_bar) if is_congruence(P, delta) else None
     check("delta-centralizer-fixed", "delta-centralizer",
           "delta < alpha-bar and (delta : alpha-bar) = alpha-bar",
           None if ok and cent == alpha_bar else (delta, alpha_bar, cent))

@@ -611,10 +611,9 @@ def subuniverse_transversals(
     return [frozenset(columns[:, t].tolist()) for t in np.flatnonzero(closed).tolist()]
 
 
-def _reflexive_is_congruence(algebra: FiniteAlgebra, a: int, b: int) -> bool:
-    """Whether rho(a, b), the reflexive subuniverse of A^2 generated by
-    (a, b), is symmetric and transitive: one closure, then R == R^T and
-    R R <= R on its n x n boolean matrix R."""
+def _reflexive_closure(algebra: FiniteAlgebra, a: int, b: int) -> np.ndarray:
+    """rho(a, b), the reflexive subuniverse of A^2 generated by (a, b), as
+    its n x n boolean matrix: one closure."""
     n = algebra.size
     rho, _ = closure_in_power(
         algebra, 2, [(x, x) for x in range(n)] + [(a, b)], cap_name="reflexive closure"
@@ -622,7 +621,7 @@ def _reflexive_is_congruence(algebra: FiniteAlgebra, a: int, b: int) -> bool:
     rows = np.array(rho, dtype=np.int64)
     r = np.zeros((n, n), dtype=bool)
     r[rows[:, 0], rows[:, 1]] = True
-    return bool((r == r.T).all() and not (np.matmul(r, r) & ~r).any())
+    return r
 
 
 def _reflexive_witness(algebra: FiniteAlgebra, thetas: Sequence[Partition]):
@@ -653,7 +652,9 @@ def _reflexive_witness(algebra: FiniteAlgebra, thetas: Sequence[Partition]):
         for i in np.sort(leads).tolist():
             c = int(comps[i])
             if c not in verdicts:
-                verdicts[c] = _reflexive_is_congruence(algebra, int(a[i]), int(b[i]))
+                r = _reflexive_closure(algebra, int(a[i]), int(b[i]))
+                # symmetric and transitive: R == R^T and R R <= R
+                verdicts[c] = bool((r == r.T).all() and not (np.matmul(r, r) & ~r).any())
             if not verdicts[c]:
                 return theta, (int(a[i]), int(b[i]))
     return None

@@ -18,11 +18,13 @@ import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import CapExceededError, FiniteAlgebra, closure_in_power
-from .congruences import Partition, congruence_lattice, structure_report
+import numpy as np
+
+from .core import CapExceededError, FiniteAlgebra, find_isomorphism
+from .congruences import Partition, _principal_congruences, congruence_lattice, structure_report
 from .centrality import centralizer
 from .diffalg import difference_algebra, range_of_class
-from .diffterm import _is_prime, certificate_from_operation
+from .diffterm import _is_prime, _reflexive_closure, certificate_from_operation
 from .similarity import division_ring
 from .report import CheckItem, Report
 
@@ -479,9 +481,6 @@ def generate_example(config: GeneratorConfig) -> GeneratedAlgebra:
         for x, v in zip(ids, vs):
             elt[(sorts[sidx], v)] = x
 
-    def space_of(l: int, i: int) -> tuple[int, ...]:
-        return sort_elements[sorts.index((l, i))]
-
     # sigma: project every element into the distinguished space of its class
     sigma = [0] * size
     for sidx, (l, i) in enumerate(sorts):
@@ -706,17 +705,7 @@ def verify_claims(gen: GeneratedAlgebra) -> Report:
 
     rep = structure_report(congruence_lattice(a))
     si_ok = rep.is_si and rep.monolith == gen.mu
-    # every minimal reflexive subuniverse above the diagonal is generated by
-    # one off-diagonal pair, so scanning the principal ones finds them all
-    diag = [(x, x) for x in range(n)]
-    mu_pairs = frozenset(gen.mu.pairs())
-    principals = set()
-    for x in range(n):
-        for y in range(x + 1, n):
-            rho, _ = closure_in_power(a, 2, diag + [(x, y)], cap_name="reflexive closure")
-            principals.add(frozenset(rho))
-    minimal = [r for r in principals if not any(s < r for s in principals)]
-    unique_min = minimal == [mu_pairs]
+    unique_min = _unique_minimal_reflexive(a, gen.mu)
     items.append(
         CheckItem(
             id="monolith-unique-minimal",
@@ -826,28 +815,38 @@ def verify_claims(gen: GeneratedAlgebra) -> Report:
     return Report("generated algebra claims", tuple(items))
 
 
+def _principal_reflexives(algebra: FiniteAlgebra) -> dict[tuple[int, int], np.ndarray]:
+    """rho(x, y), the reflexive subuniverse of A^2 generated by (x, y), for
+    every x < y, as boolean matrices: one closure per pair-graph component,
+    whose pairs have equal rho up to converse (`diffterm._reflexive_witness`),
+    read as rho(x, y) when it holds (x, y) and as its converse otherwise."""
+    n = algebra.size
+    component = _principal_congruences(algebra)[2]
+    closures: dict[int, np.ndarray] = {}
+    out = {}
+    for x, y in itertools.combinations(range(n), 2):
+        c = int(component[x * n + y])
+        if c not in closures:
+            closures[c] = _reflexive_closure(algebra, x, y)
+        out[x, y] = closures[c] if closures[c][x, y] else closures[c].T
+    return out
+
+
+def _unique_minimal_reflexive(algebra: FiniteAlgebra, mu: Partition) -> bool:
+    """Whether mu is the unique minimal reflexive subuniverse of A^2 above
+    the diagonal; every minimal one is some rho(x, y)."""
+    principals = {r.tobytes(): r for r in _principal_reflexives(algebra).values()}.values()
+    minimal = [r for r in principals if not any(s is not r and not (s & ~r).any() for s in principals)]
+    label = np.array(mu.index)
+    return len(minimal) == 1 and bool((minimal[0] == (label[:, None] == label)).all())
+
+
 def _ring_isomorphic_to_field(ring, field: FiniteField) -> bool:
-    if len(ring) != field.q:
-        return False
-    others_r = [i for i in range(len(ring)) if i not in (ring.zero_index, ring.one_index)]
-    others_f = [x for x in range(field.q) if x not in (0, 1)]
-    for perm in itertools.permutations(others_f):
-        phi = {ring.zero_index: 0, ring.one_index: 1}
-        phi.update(dict(zip(others_r, perm)))
-        ok = True
-        for i in range(len(ring)):
-            for j in range(len(ring)):
-                if phi[ring.add(i, j)] != field.add(phi[i], phi[j]):
-                    ok = False
-                    break
-                if phi[ring.mul(i, j)] != field.mul(phi[i], phi[j]):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            return True
-    return False
+    """Whether a bijection preserves + and * (and so fixes 0 and 1)."""
+    def algebra(r):
+        return FiniteAlgebra(len(r.add_table), [("+", 2, np.ravel(r.add_table)), ("*", 2, np.ravel(r.mul_table))])
+
+    return len(ring) == field.q and find_isomorphism(algebra(ring), algebra(field)) is not None
 
 
 # -- config (de)serialization -------------------------------------------------

@@ -17,7 +17,7 @@ relation linking the monoliths (a similarity bridge).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -67,36 +67,25 @@ def _kept_in_blocks(partition: Partition, fixed) -> np.ndarray:
     return allowed
 
 
+@dataclass(eq=False, slots=True)
 class EndomorphismRing:
     """The division ring of endomorphisms fixing a subuniverse transversal of
     an abelian minimal congruence.  Addition is pointwise class-group
     addition; multiplication is composition."""
 
-    __slots__ = (
-        "algebra",
-        "phi",
-        "transversal",
-        "carrier",
-        "zero_index",
-        "one_index",
-        "add_table",
-        "neg_table",
-        "mul_table",
-        "_pos",
-    )
+    algebra: FiniteAlgebra
+    phi: Partition
+    transversal: tuple[int, ...]
+    carrier: tuple[ElementMap, ...]
+    zero_index: int
+    one_index: int
+    add_table: tuple
+    neg_table: tuple
+    mul_table: tuple
+    _pos: dict = field(init=False, repr=False)
 
-    def __init__(self, algebra, phi, transversal, carrier, zero_index, one_index,
-                 add_table, neg_table, mul_table):
-        self.algebra = algebra
-        self.phi = phi
-        self.transversal = transversal
-        self.carrier = carrier
-        self.zero_index = zero_index
-        self.one_index = one_index
-        self.add_table = add_table
-        self.neg_table = neg_table
-        self.mul_table = mul_table
-        self._pos = {em: i for i, em in enumerate(carrier)}
+    def __post_init__(self):
+        self._pos = {em: i for i, em in enumerate(self.carrier)}
 
     def __len__(self):
         return len(self.carrier)

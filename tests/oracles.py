@@ -26,6 +26,12 @@ difference terms before the check read them at principal congruences.
 the per-pair closure loop and the per-candidate scan of the weak-difference-
 term law harness before it closed once per pair-graph component and tested
 every candidate transversal in one gather, on `reference_closure`.
+`reference_principal_reflexives` is the per-pair closure scan of
+`verify_claims` before it closed once per pair-graph component, and
+`reference_difference_algebra` is the route to D before it was a quotient of
+the pair set: the pair algebra and d on it materialized in full (by
+`reference_restrict`), then quotiented by Delta with every tuple checked
+(by `reference_quotient`).
 """
 
 from __future__ import annotations
@@ -880,3 +886,43 @@ def reference_subuniverse_transversals(algebra: FiniteAlgebra, theta: Partition)
         if {x for (x,) in members} == set(combo):
             out.append(frozenset(combo))
     return out
+
+
+def reference_principal_reflexives(algebra: FiniteAlgebra) -> dict:
+    """rho(x, y), the reflexive subuniverse of A^2 generated by (x, y), for
+    every x < y, as a frozenset of pairs: one closure per pair."""
+    n = algebra.size
+    diag = [(x, x) for x in range(n)]
+    return {
+        (x, y): frozenset(reference_closure(algebra, 2, diag + [(x, y)])[0])
+        for x in range(n) for y in range(x + 1, n)
+    }
+
+
+def reference_unique_minimal_reflexive(algebra: FiniteAlgebra, mu: Partition) -> bool:
+    """Whether mu is the unique minimal one among the distinct rho(x, y)."""
+    principals = set(reference_principal_reflexives(algebra).values())
+    minimal = [r for r in principals if not any(s < r for s in principals)]
+    return minimal == [frozenset(mu.pairs())]
+
+
+def reference_difference_algebra(base: FiniteAlgebra, pairs, delta_blocks, d):
+    """D = A(theta)/Delta and the induced d on it, by the former route: the
+    tables of the pair algebra and of d on the pair set, tuple by tuple,
+    then their quotients by Delta (sorted blocks in order of least element),
+    each checked on every argument tuple.  Returns (D's flat tables, the
+    labels of the pairs, the representatives, d's flat table on D); raises
+    ValueError "does not preserve theta" when d leaves the pair set, and
+    the quotient's ValueError when d does not factor through Delta."""
+    tables, witness = reference_restrict([base, base], pairs)
+    assert witness is None, witness
+    pair_algebra = FiniteAlgebra(
+        len(pairs), [(op.name, op.arity, t) for op, t in zip(base.operations, tables)]
+    )
+    quotient_tables, labels, reps = reference_quotient(pair_algebra, delta_blocks)
+    d_base = FiniteAlgebra(base.size, [("d", 3, d)])
+    d_pair, witness = reference_restrict([d_base, d_base], pairs)
+    if witness is not None:
+        raise ValueError("d does not preserve theta")
+    (induced,), _, _ = reference_quotient(FiniteAlgebra(len(pairs), [("d", 3, d_pair[0])]), delta_blocks)
+    return quotient_tables, labels, reps, induced

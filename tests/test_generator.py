@@ -196,3 +196,49 @@ def test_config_roundtrip(gen2):
     again = config_from_dict(config_to_dict(cfg))
     assert again == cfg
     assert generate_example(again).algebra == gen2.algebra
+
+
+class _Ring:
+    """A ring given by its tables, as `_ring_isomorphic_to_field` reads it."""
+
+    def __init__(self, add_table, mul_table):
+        self.add_table = add_table
+        self.mul_table = mul_table
+
+    def __len__(self):
+        return len(self.add_table)
+
+
+def _relabeled(field, perm):
+    """The field's tables carried along the permutation `perm`."""
+    q = field.q
+    add = [[0] * q for _ in range(q)]
+    mul = [[0] * q for _ in range(q)]
+    for a in range(q):
+        for b in range(q):
+            add[perm[a]][perm[b]] = perm[field.add(a, b)]
+            mul[perm[a]][perm[b]] = perm[field.mul(a, b)]
+    return _Ring(add, mul)
+
+
+@pytest.mark.parametrize("p, k, modulus", [(13, 1, None), (2, 4, (1, 1, 0, 0, 1))])
+def test_ring_isomorphic_to_a_relabeled_field(p, k, modulus):
+    """GF(13) and GF(16), where the former search tried 11! and 14!
+    permutations."""
+    import random
+
+    from finalg.generator import _ring_isomorphic_to_field
+
+    field = build_field(p, k, modulus)
+    perm = list(range(field.q))
+    random.Random(field.q).shuffle(perm)
+    assert _ring_isomorphic_to_field(_relabeled(field, perm), field)
+
+
+def test_z4_is_not_gf4():
+    from finalg.generator import _ring_isomorphic_to_field
+
+    z4 = _Ring([[(a + b) % 4 for b in range(4)] for a in range(4)],
+               [[a * b % 4 for b in range(4)] for a in range(4)])
+    assert not _ring_isomorphic_to_field(z4, build_field(2, 2))
+    assert not _ring_isomorphic_to_field(z4, build_field(5))

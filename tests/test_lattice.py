@@ -59,10 +59,20 @@ def _assert_matches_reference(algebra):
     assert lat.join_table == join
     assert lat.meet_table == meet
     assert lat.covers == covers
-    # in a finite lattice the meet-irreducibles are the completely
-    # meet-irreducibles; structure_report computes them independently
+    # in a finite lattice the meet-irreducibles, read off the reference meet
+    # table, are the completely meet-irreducibles of structure_report
+    m = len(elements)
+    top = next(i for i in range(m) if all(leq[j][i] for j in range(m)))
+    meet_irreducibles = {
+        i for i in range(m)
+        if i != top and not any(
+            meet[j][k] == i
+            for j in range(m) for k in range(m)
+            if j != i and k != i and leq[i][j] and leq[i][k]
+        )
+    }
     rep = structure_report(lat)
-    assert set(rep.meet_irreducibles) == {low for low, _ in rep.completely_meet_irreducibles}
+    assert {lat.position(low) for low, _ in rep.completely_meet_irreducibles} == meet_irreducibles
     return lat
 
 
